@@ -24,8 +24,8 @@
 //! — a conservative floor that catches pathological hot-path regressions
 //! without judging machine-dependent shard scaling — or if the batched API at
 //! window size 1 falls below [`BATCH_1_PARITY`] of the per-call API (the
-//! batch-1 degradation gate: the batched client must route 1-element windows
-//! through the per-call commands instead of paying the buffer round-trip).
+//! window-1 gate: both APIs send a one-entry decide window there, and the
+//! client's recycled buffers must not cost more than they save).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -51,10 +51,10 @@ const BATCH_SIZES: [usize; 3] = [1, 32, 1024];
 const FLOOR_DECIDES_PER_SEC: f64 = 50_000.0;
 
 /// Smoke-mode floor on `batched / per_call` throughput at window size 1 on
-/// one shard. With the batch-1 fast path the ratio sits near (slightly
-/// above) 1.0; the regression this pins — batch-1 windows paying the full
-/// buffer round-trip — showed up as ~0.85. Kept conservative because smoke
-/// runs are short and the container is small.
+/// one shard. Both APIs send the same one-entry decide window; the client
+/// reuses its reply lane and buffers where the per-call API allocates them,
+/// so the ratio sits near 1.0. Kept conservative because smoke runs are
+/// short and the container is small.
 const BATCH_1_PARITY: f64 = 0.6;
 
 /// Which client API a cell drives the engine through.
@@ -364,7 +364,7 @@ fn main() {
             );
         }
         println!("smoke floor ok: every cell >= {FLOOR_DECIDES_PER_SEC:.0} decides/sec");
-        // The batch-1 degradation gate.
+        // The window-1 gate.
         let one = |api: Api| {
             cells
                 .iter()

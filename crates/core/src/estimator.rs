@@ -13,8 +13,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{PolicyState, PolicyStateError, PolicyStateReader};
 
 /// `log⁺(x) = max(ln x, 0)`, the truncated logarithm used by MOSS-style indices.
@@ -41,7 +39,7 @@ pub fn log_plus(x: f64) -> f64 {
 /// assert_eq!(m.count(), 2);
 /// assert_eq!(m.mean(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningMean {
     count: u64,
     mean: f64,
@@ -133,7 +131,7 @@ pub fn load_running_means(
 /// // The newer observation weighs more than 1/2.
 /// assert!(est.mean(0) < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EstimatorKind {
     /// The plain sample mean over all observations (the paper's setting).
     #[default]
@@ -183,7 +181,7 @@ impl EstimatorKind {
 /// assert_eq!(est.mean(1), 0.5);
 /// assert_eq!(est.count(0), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArmEstimators {
     counts: Vec<u64>,
     means: Vec<f64>,

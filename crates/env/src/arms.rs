@@ -1,7 +1,6 @@
 //! Arm sets: the `K` reward distributions of a bandit instance.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::distributions::{Distribution, RewardDistribution};
 use crate::ArmId;
@@ -13,7 +12,7 @@ use crate::ArmId;
 /// that vector allowed by the feedback model; drawing everything up front keeps
 /// the stochastic process identical across feedback models and policies, which
 /// is what makes regret curves comparable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArmSet {
     distributions: Vec<Distribution>,
 }

@@ -20,8 +20,6 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use netband_graph::{CsrGraph, RelationGraph};
 
 use crate::arms::ArmSet;
@@ -85,7 +83,7 @@ impl fmt::Display for EnvError {
 impl std::error::Error for EnvError {}
 
 /// Feedback from pulling a single arm.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SinglePlayFeedback {
     /// The pulled arm `I_t`.
     pub arm: ArmId,
@@ -111,7 +109,7 @@ impl SinglePlayFeedback {
 }
 
 /// Feedback from pulling a combinatorial strategy.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CombinatorialFeedback {
     /// The pulled strategy `s_{I_t}` (sorted component arms).
     pub strategy: Vec<ArmId>,
@@ -143,17 +141,16 @@ impl CombinatorialFeedback {
 
 /// A networked stochastic bandit instance: `K` arms, their distributions, and
 /// the relation graph over them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkedBandit {
     graph: RelationGraph,
     /// Flat (CSR) snapshot of the graph; every feedback construction reads its
     /// packed closed-neighbourhood rows instead of allocating neighbourhood
-    /// vectors. Derived state: skipped by serde (keeping the serialized format
-    /// at `{graph, arms, means}`) so a persisted instance can never carry a
-    /// snapshot that disagrees with its graph. The cell starts empty after
-    /// deserialization and is rebuilt lazily on first access, so a restored
-    /// instance is usable without any manual refresh call.
-    #[serde(skip)]
+    /// vectors. Derived state: never persisted (the persisted form is
+    /// `{graph, arms, means}`) so a stored instance can never carry a
+    /// snapshot that disagrees with its graph. An empty cell is rebuilt
+    /// lazily on first access, so an instance assembled without it is usable
+    /// without any manual refresh call.
     csr: OnceLock<CsrGraph>,
     arms: ArmSet,
     /// Cached means, so per-round regret accounting does not re-query
@@ -206,8 +203,8 @@ impl NetworkedBandit {
 
     /// The flat (CSR) runtime snapshot of the relation graph.
     ///
-    /// The snapshot is derived state excluded from serialization; on an
-    /// instance restored through `serde` this accessor rebuilds it from the
+    /// The snapshot is derived state excluded from the persisted form; on an
+    /// instance whose cell is still empty this accessor rebuilds it from the
     /// relation graph on first use, so no manual refresh call is needed.
     /// After the first access (constructors materialise it eagerly) the call
     /// is a single atomic load.
@@ -862,9 +859,8 @@ mod tests {
         }
     }
 
-    /// Reconstructs the exact state `serde` leaves behind: the serialized
-    /// fields (`graph`, `arms`, `means`) populated, the `#[serde(skip)]` CSR
-    /// cell at its `Default` (empty). Regression test for the old footgun
+    /// Reconstructs an instance from its persisted fields alone (`graph`,
+    /// `arms`, `means`), with the derived CSR cell at its `Default` (empty). Regression test for the old footgun
     /// where such an instance panicked (or silently disagreed with its graph)
     /// until the caller remembered `refresh_csr()`.
     fn freshly_deserialized(env: &NetworkedBandit) -> NetworkedBandit {

@@ -6,7 +6,6 @@
 //! truncated-Gaussian sampling, so no extra statistical dependency is needed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A reward distribution with support contained in `[0, 1]`.
 ///
@@ -31,7 +30,7 @@ pub trait RewardDistribution: Send + Sync + std::fmt::Debug {
 /// This enum is the workhorse used by [`crate::arms::ArmSet`]; the
 /// [`RewardDistribution`] trait exists so that downstream users can plug in
 /// their own families without touching this crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Distribution {
     /// Bernoulli with success probability `p`.
     Bernoulli {

@@ -25,7 +25,6 @@
 //! [`NetworkedBandit`]: crate::NetworkedBandit
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ArmId;
 
@@ -36,7 +35,7 @@ use crate::ArmId;
 /// clamped to `[0, 1]` with the rest of the drift pipeline. The phase offset
 /// `i/K` staggers the arms so the best arm changes identity as the wave
 /// travels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradualDrift {
     /// Peak shift added to (and subtracted from) each base mean; keep in
     /// `[0, 1]` for meaningful Bernoulli means.
@@ -51,7 +50,7 @@ pub struct GradualDrift {
 /// `rotation` positions (arm `i` takes the base mean of arm
 /// `(i + rotation) mod K`). Rotations of successive change points accumulate,
 /// so each change point re-shuffles which arms are good.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePoint {
     /// First round (1-based) at which the rotated means take effect.
     pub round: u64,
@@ -60,7 +59,7 @@ pub struct ChangePoint {
 }
 
 /// A window during which one arm is deactivated (its mean forced to `0`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnWindow {
     /// The arm that churns out. Windows naming arms outside the instance are
     /// ignored by [`DriftSchedule::means_at`].
@@ -101,7 +100,7 @@ impl ChurnWindow {
 /// drift.means_at(&base, 3, &mut means);
 /// assert_eq!(means, [0.1, 0.9]); // rotated: the best arm moved
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriftSchedule {
     /// Smooth sinusoidal drift, if any.
     pub gradual: Option<GradualDrift>,

@@ -15,8 +15,6 @@
 //! configurable budget; otherwise a documented greedy fallback is applied
 //! (`ln`-factor coverage guarantee for the neighbourhood objective).
 
-use serde::{Deserialize, Serialize};
-
 use netband_graph::independent::independent_sets_bank;
 use netband_graph::RelationGraph;
 
@@ -241,7 +239,7 @@ pub fn neighborhood_weight(strategy: &[ArmId], weights: &[f64], graph: &Relation
 }
 
 /// The built-in strategy families used throughout the workspace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StrategyFamily {
     /// An explicitly enumerated feasible set (the regime of Algorithm 2).
     Explicit {

@@ -19,7 +19,6 @@
 //!   VII (Erdős–Rényi graph, uniform means).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use netband_graph::generators;
 
@@ -29,7 +28,7 @@ use crate::drift::DriftSchedule;
 use crate::feasible::StrategyFamily;
 
 /// A fully specified workload: environment plus (optional) feasible family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Human-readable name used in reports.
     pub name: String,

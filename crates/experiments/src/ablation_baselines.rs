@@ -6,8 +6,6 @@
 //! much of DFL-SSO's advantage comes from side observation rather than from the
 //! MOSS-style index itself.
 
-use serde::{Deserialize, Serialize};
-
 use netband_core::SinglePlayPolicy;
 use netband_sim::export::format_table;
 use netband_sim::replicate::aggregate;
@@ -18,7 +16,7 @@ use netband_spec::PolicySpec;
 use crate::common::{build_single_panel, paper_workload, Scale};
 
 /// Configuration of the baseline comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselinesConfig {
     /// Arm counts to evaluate.
     pub arm_counts: Vec<usize>,
@@ -45,7 +43,7 @@ impl Default for BaselinesConfig {
 }
 
 /// Final mean cumulative regret of every policy at one arm count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselinesRow {
     /// Number of arms `K`.
     pub num_arms: usize,

@@ -8,8 +8,6 @@
 //! measured regret next to the bound, showing that graphs with smaller covers
 //! indeed learn faster.
 
-use serde::{Deserialize, Serialize};
-
 use netband_core::bounds;
 use netband_graph::{generators, greedy_clique_cover, RelationGraph};
 use netband_sim::export::format_table;
@@ -21,7 +19,7 @@ use netband_spec::{ArmsSpec, GraphSpec, PolicySpec, SideBonus, WorkloadSpec};
 use crate::common::{grid_cell, Scale};
 
 /// Configuration of the structured-graph ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CliquesConfig {
     /// Number of arms `K` (should be divisible by 4 so the disjoint-clique
     /// family tiles evenly).
@@ -46,7 +44,7 @@ impl Default for CliquesConfig {
 }
 
 /// Result row for one graph family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CliquesRow {
     /// Name of the graph family.
     pub family: String,

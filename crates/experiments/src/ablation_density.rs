@@ -6,8 +6,6 @@
 //! per Theorem 1, is that the regret of DFL-SSO falls as the graph gets denser
 //! (more side observation, smaller clique cover) while MOSS is flat up to noise.
 
-use serde::{Deserialize, Serialize};
-
 use netband_graph::greedy_clique_cover;
 use netband_sim::export::format_table;
 use netband_sim::replicate::aggregate;
@@ -18,7 +16,7 @@ use netband_spec::PolicySpec;
 use crate::common::{build_single_panel, paper_workload, Scale};
 
 /// Configuration of the density sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityConfig {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -45,7 +43,7 @@ impl Default for DensityConfig {
 }
 
 /// One row of the sweep: regrets at a single density.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityRow {
     /// Edge probability of the relation graph.
     pub density: f64,

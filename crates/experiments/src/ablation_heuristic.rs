@@ -7,8 +7,6 @@
 //! much it changes the regret of DFL-SSO and DFL-SSR on the paper's random
 //! workload, across graph densities.
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::format_table;
 use netband_sim::replicate::aggregate;
 use netband_sim::run_spec;
@@ -19,7 +17,7 @@ use netband_spec::{PolicySpec, SideBonus};
 use crate::common::{build_single_panel, grid_cell, paper_workload, paper_workload_spec, Scale};
 
 /// Configuration of the heuristic ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeuristicConfig {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -47,7 +45,7 @@ impl Default for HeuristicConfig {
 
 /// Result row: base vs heuristic regret for both single-play scenarios at one
 /// density.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeuristicRow {
     /// Edge probability of the relation graph.
     pub density: f64,

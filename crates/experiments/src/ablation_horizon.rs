@@ -7,8 +7,6 @@
 //! growth exponent `α` in `R_n ≈ c·n^α`, checking that it is clearly sublinear
 //! and close to the theoretical exponent.
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::format_table;
 use netband_sim::replicate::aggregate;
 use netband_sim::run_spec;
@@ -18,7 +16,7 @@ use netband_spec::{PolicySpec, ScenarioSpec, SideBonus};
 use crate::common::{grid_cell, paper_workload_spec};
 
 /// Configuration of the horizon-scaling ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizonConfig {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -45,7 +43,7 @@ impl Default for HorizonConfig {
 }
 
 /// Cumulative regret at one horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizonRow {
     /// The horizon `n`.
     pub horizon: usize,
@@ -56,7 +54,7 @@ pub struct HorizonRow {
 }
 
 /// The full result: per-horizon regrets plus fitted growth exponents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizonResult {
     /// One row per horizon.
     pub rows: Vec<HorizonRow>,

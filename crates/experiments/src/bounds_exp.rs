@@ -4,14 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use netband_core::bounds;
 use netband_graph::{generators, greedy_clique_cover};
 use netband_sim::export::format_table;
 
 /// One row of the bound sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundRow {
     /// Horizon `n`.
     pub horizon: usize,
@@ -32,7 +31,7 @@ pub struct BoundRow {
 }
 
 /// Configuration of the bound sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundsConfig {
     /// Horizons to evaluate.
     pub horizons: Vec<usize>,

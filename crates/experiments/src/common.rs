@@ -6,8 +6,6 @@
 //! [`PolicySpec`] lists, so an experiment's configuration is serializable data
 //! end to end.
 
-use serde::{Deserialize, Serialize};
-
 use netband_env::NetworkedBandit;
 use netband_spec::{
     AnyPolicy, ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus,
@@ -18,7 +16,7 @@ use netband_spec::{
 ///
 /// `full()` matches the paper's setting (horizon 10 000); `quick()` is a
 /// smoke-test scale used by unit tests, CI, and `--quick` runs of the binaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Number of time slots `n`.
     pub horizon: usize,

@@ -16,8 +16,6 @@
 //! Everything runs through declarative [`ScenarioSpec`] documents — the same
 //! grid cells could be replayed on the serving engine or exported as JSON.
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::format_table;
 use netband_sim::run_spec;
 use netband_spec::{
@@ -28,7 +26,7 @@ use netband_spec::{
 use crate::common::Scale;
 
 /// Configuration of the drift comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftConfig {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -127,7 +125,7 @@ pub fn cell_spec(config: &DriftConfig, policy: PolicySpec, seed: u64) -> Scenari
 }
 
 /// Mean regret of one policy, split at the change point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftRow {
     /// Panel label of the policy.
     pub label: String,

@@ -7,8 +7,6 @@
 //! result: both time-averaged curves head towards 0, but DFL-SSO's accumulated
 //! regret flattens out while MOSS's keeps growing — side observation wins.
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::columns_to_csv;
 use netband_sim::replicate::aggregate;
 use netband_sim::runner::{run_single_coupled, SingleScenario};
@@ -19,7 +17,7 @@ use crate::common::{build_single_panel, grid_cell, paper_workload_spec, Scale};
 use crate::report::{accumulated_regret_table, expected_regret_table, summary_line};
 
 /// Configuration of the Fig. 3 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Config {
     /// Number of arms `K` (paper: 100).
     pub num_arms: usize,
@@ -43,7 +41,7 @@ impl Default for Fig3Config {
 }
 
 /// The two averaged curves of Fig. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// DFL-SSO (Algorithm 1), with side observation.
     pub dfl_sso: AveragedRun,

@@ -12,8 +12,6 @@
 //! feasible family — the same constraint structure as the paper's Fig. 2
 //! example.
 
-use serde::{Deserialize, Serialize};
-
 use netband_env::feasible::FeasibleSet;
 use netband_sim::export::columns_to_csv;
 use netband_sim::replicate::aggregate;
@@ -25,7 +23,7 @@ use crate::common::{grid_cell, paper_workload_spec, Scale};
 use crate::report::{expected_regret_table, summary_line};
 
 /// Configuration of the Fig. 4 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Config {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -55,7 +53,7 @@ impl Default for Fig4Config {
 }
 
 /// The two averaged curves of Fig. 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Result {
     /// DFL-CSO on the sparse graph (Fig. 4(a)).
     pub sparse: AveragedRun,

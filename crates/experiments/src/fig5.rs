@@ -6,8 +6,6 @@
 //! 0 "dramatically" (the side reward of every arm is learned from overlapping
 //! neighbourhood observations).
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::columns_to_csv;
 use netband_sim::replicate::aggregate;
 use netband_sim::run_spec;
@@ -18,7 +16,7 @@ use crate::common::{grid_cell, paper_workload_spec, Scale};
 use crate::report::{expected_regret_table, summary_line};
 
 /// Configuration of the Fig. 5 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Config {
     /// Number of arms `K` (paper: 100).
     pub num_arms: usize,
@@ -47,7 +45,7 @@ impl Default for Fig5Config {
 }
 
 /// The averaged curves of Fig. 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// DFL-SSR (Algorithm 3).
     pub dfl_ssr: AveragedRun,

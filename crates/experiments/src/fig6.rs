@@ -7,8 +7,6 @@
 //! the "place up to m advertisements" constraint from the paper's introduction —
 //! over a 20-arm random graph, which keeps the exact oracle cheap.
 
-use serde::{Deserialize, Serialize};
-
 use netband_sim::export::columns_to_csv;
 use netband_sim::replicate::aggregate;
 use netband_sim::run_spec;
@@ -19,7 +17,7 @@ use crate::common::{grid_cell, paper_workload_spec, Scale};
 use crate::report::{expected_regret_table, summary_line};
 
 /// Configuration of the Fig. 6 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Config {
     /// Number of arms `K`.
     pub num_arms: usize,
@@ -50,7 +48,7 @@ impl Default for Fig6Config {
 }
 
 /// The averaged curves of Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// DFL-CSR (Algorithm 4).
     pub dfl_csr: AveragedRun,

@@ -32,14 +32,12 @@
 //! assert_eq!(bank.iter().map(|row| row.len()).sum::<usize>(), 4);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::ArmId;
 
 /// An enumerated strategy set stored as flat CSR-style rows.
 ///
 /// See the [module docs](self) for layout and invariants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrategyBank {
     /// Row boundaries: row `x` is `arms[offsets[x] as usize..offsets[x + 1] as usize]`.
     offsets: Vec<u32>,

@@ -9,14 +9,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::RelationGraph;
 use crate::ArmId;
 
 /// A clique cover: a list of vertex-disjoint cliques whose union is the vertex
 /// set of the graph it was computed from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliqueCover {
     cliques: Vec<Vec<ArmId>>,
 }

@@ -12,8 +12,6 @@
 //! [`RelationGraph::to_csr`]) and is immutable afterwards; mutation stays on
 //! [`RelationGraph`], which remains the construction-time representation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clique::greedy_clique_cover;
 use crate::graph::RelationGraph;
 use crate::ArmId;
@@ -58,7 +56,7 @@ use crate::ArmId;
 /// assert_eq!(csr.num_cliques(), 2);
 /// assert_eq!(csr.clique(csr.clique_of(4)), csr.clique(csr.clique_of(3)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     num_edges: usize,
     offsets: Vec<usize>,
@@ -280,9 +278,9 @@ impl From<&RelationGraph> for CsrGraph {
 
 impl Default for CsrGraph {
     /// The snapshot of the zero-vertex graph (all layout invariants hold
-    /// vacuously). Exists so holders can mark `CsrGraph` fields
-    /// `#[serde(skip)]` — the snapshot is derived state and is rebuilt from
-    /// the source graph after deserialization rather than persisted.
+    /// vacuously). Gives holders an empty placeholder — the snapshot is
+    /// derived state and is rebuilt from the source graph rather than
+    /// persisted.
     fn default() -> Self {
         CsrGraph::from_graph(&RelationGraph::empty(0))
     }

@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ArmId;
 
 /// Errors produced by graph constructors and mutators.
@@ -63,7 +61,7 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.neighbors(1), &[0, 2]);
 /// assert_eq!(g.closed_neighborhood(1), vec![0, 1, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationGraph {
     /// `adjacency[v]` holds the sorted, deduplicated neighbours of `v`.
     adjacency: Vec<Vec<ArmId>>,

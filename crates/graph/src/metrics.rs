@@ -8,13 +8,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::RelationGraph;
 use crate::ArmId;
 
 /// A summary of the structural properties of a relation graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphMetrics {
     /// Number of vertices `K`.
     pub num_vertices: usize,
@@ -276,7 +274,7 @@ mod tests {
     fn metrics_are_serialisable() {
         let g = generators::cycle(5);
         let m = metrics(&g);
-        // Round-trip through the serde data model used for experiment configs.
+        // Metrics are plain values: a clone compares equal.
         let clone = m.clone();
         assert_eq!(m, clone);
         assert_eq!(m.diameter, 2);

@@ -7,8 +7,6 @@
 //! contained in `Y_x = ∪_{i ∈ s_x} N_i` *and* vice versa (observation must be
 //! mutual for the symmetric update of Algorithm 2 to be justified).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::StrategyBank;
 use crate::graph::RelationGraph;
 use crate::ArmId;
@@ -35,7 +33,7 @@ pub type StrategyId = usize;
 /// // s2 = {1} and s5 = {0, 2} observe each other, so they are neighbours.
 /// assert!(sg.graph().has_edge(1, 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyRelationGraph {
     /// The feasible strategies (flat rows, each a sorted set of arm ids).
     strategies: StrategyBank,

@@ -20,7 +20,9 @@ use crate::hist::LatencyHistogram;
 /// The stages of one decide, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecideStage {
-    /// Tenant lookup in the shard's table.
+    /// Tenant lookup in the shard's table. netband-serve looks a tenant up
+    /// once per decide-window entry, before the clock starts, so there this
+    /// lap reads about zero.
     Route,
     /// Policy arm/strategy selection (includes any flush-before-decide).
     Select,

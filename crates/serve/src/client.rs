@@ -1,37 +1,33 @@
-//! The batched client handle: amortised channel round-trips and recycled
+//! The windowed client handle: amortised channel round-trips and recycled
 //! request/reply buffers.
 //!
-//! The per-call engine API ([`ServeEngine::decide`](crate::ServeEngine::decide))
-//! pays, for every decision, a fresh reply-channel allocation plus two channel
-//! hops. A [`ServeClient`] removes both costs from the steady state:
+//! The engine has two data-path commands per shard: a decide window and a
+//! feedback window. The per-call engine API
+//! ([`ServeEngine::decide`](crate::ServeEngine::decide)) sends a window of one
+//! over a fresh reply channel. A [`ServeClient`] sends the same commands with
+//! everything around them recycled:
 //!
-//! * **Per-shard reply pooling** — the client owns one long-lived reply
-//!   channel *per shard*; every batch command carries a clone of its target
+//! * **Per-shard reply lanes** — the client owns one long-lived reply
+//!   channel *per shard*; every decide window carries a clone of its target
 //!   shard's sender (an `Arc` bump, no allocation) instead of a freshly
 //!   constructed `sync_channel`. Because no two shards ever share a reply
-//!   channel, shards completing concurrent batches never contend on the
-//!   client side, and a mixed fan-out collects each shard's batch from its
+//!   channel, shards completing concurrent windows never contend on the
+//!   client side, and a mixed fan-out collects each shard's window from its
 //!   own lane.
-//! * **Batched commands** — [`ServeClient::decide_many`] serves `n` decisions
-//!   over a single command/reply round-trip;
-//!   [`ServeClient::decide_many_mixed`] fans a mixed-tenant batch out to
-//!   **all** target shards first and only then collects, so the shards serve
-//!   their partitions concurrently; [`ServeClient::feedback_many`] ingests a
+//! * **Windows** — [`ServeClient::decide_many_mixed`] partitions a
+//!   mixed-tenant window by shard and sends **all** per-shard commands
+//!   before collecting any reply, so the shards serve their partitions
+//!   concurrently; [`ServeClient::decide_many`] is the same call with a
+//!   single `(tenant, n)` pair; [`ServeClient::feedback_many`] ingests a
 //!   whole window of feedback with one fire-and-forget command.
 //! * **Recycled buffers** — request buffers (including their tenant-id
-//!   strings) circulate client → shard → client, and the caller's reply
-//!   vector is handed to the shard as the reply buffer, so its warm
-//!   [`DecideReply`] slots (decision vectors, echoed feedback buffers) are
-//!   refilled in place. A steady-state `decide_many` loop that reuses its
-//!   `out` vector allocates nothing on either side of the channel.
-//! * **Batch-1 degradation** — a 1-element `decide_many` (and a 1-event
-//!   `feedback_many`) routes through the lighter per-call commands
-//!   (`Command::Decide` / `Command::Feedback`) over the pooled reply channel:
-//!   at batch size 1 the batch buffer round-trip costs more than it saves,
-//!   so the batched client degrades to (slightly better than) the per-call
-//!   transport instead of underperforming it.
+//!   strings) circulate client → shard → client, and reply buffers are
+//!   swapped with the caller's vector, so warm [`DecideReply`] slots
+//!   (decision vectors, echoed feedback buffers) are refilled in place. A
+//!   steady-state `decide_many` loop that reuses its `out` vector allocates
+//!   nothing on either side of the channel.
 //!
-//! Batching changes *transport*, not semantics: a `decide_many(t, n, ..)` is
+//! A window changes *transport*, not semantics: a `decide_many(t, n, ..)` is
 //! bit-identical to `n` consecutive `decide(t)` calls, a
 //! `decide_many_mixed` is bit-identical to the per-tenant `decide_many`
 //! calls it replaces, and `feedback_many` applies its events through the
@@ -72,7 +68,7 @@
 //! engine.shutdown();
 //! ```
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 use crate::api::{DecideReply, FeedbackEvent, ServeError};
@@ -84,65 +80,57 @@ use crate::shard::{Command, DecideBatch, DecideRequest, FeedbackRequest};
 const FEEDBACK_POOL_CAPACITY: usize = 8;
 
 /// How often the reply wait wakes up to check that the target shard is still
-/// alive. Batches complete in microseconds to milliseconds; the poll only
-/// matters if a shard dies mid-batch, so a coarse interval costs nothing.
+/// alive. Windows complete in microseconds to milliseconds; the poll only
+/// matters if a shard dies mid-window, so a coarse interval costs nothing.
 const REPLY_POLL: Duration = Duration::from_millis(100);
 
-/// A client handle over a [`ServeEngine`]: the batched, buffer-recycling
+/// A client handle over a [`ServeEngine`]: the windowed, buffer-recycling
 /// counterpart of the engine's per-call methods. Cheap to create (one reply
-/// lane per shard plus two pooled channels); intended usage is one client per
-/// driving thread, living for the whole session. See the
+/// lane per shard plus a feedback recycle channel); intended usage is one
+/// client per driving thread, living for the whole session. See the
 /// [module docs](self) for the full protocol.
 pub struct ServeClient<'e> {
     engine: &'e ServeEngine,
-    /// One long-lived batch reply lane **per shard**; a `DecideMany` addressed
-    /// to shard `s` carries a clone of `batch_reply[s].0`, and its batch is
-    /// collected from `batch_reply[s].1`. Dedicated lanes keep concurrently
+    /// One long-lived reply lane **per shard**; a decide window addressed to
+    /// shard `s` carries a clone of `lanes[s].0`, and its replies are
+    /// collected from `lanes[s].1`. Dedicated lanes keep concurrently
     /// completing shards from contending on a shared reply channel and let a
     /// mixed fan-out collect each shard independently.
-    batch_reply: Vec<(SyncSender<DecideBatch>, Receiver<DecideBatch>)>,
-    /// Pooled reply channel for the batch-1 fast path (`Command::Decide`).
-    single_reply_tx: SyncSender<Result<DecideReply, ServeError>>,
-    single_reply_rx: Receiver<Result<DecideReply, ServeError>>,
+    lanes: Vec<(SyncSender<DecideBatch>, Receiver<DecideBatch>)>,
     /// Return path for drained feedback request buffers.
     recycle_tx: SyncSender<Vec<FeedbackRequest>>,
     recycle_rx: Receiver<Vec<FeedbackRequest>>,
-    /// Recycled decide request buffers (tenant-id strings stay warm).
-    request_pool: Vec<Vec<DecideRequest>>,
     /// Recycled feedback request buffers reclaimed from `recycle_rx`.
     feedback_pool: Vec<Vec<FeedbackRequest>>,
     /// Reply buffer backing [`ServeClient::decide`].
     single_scratch: Vec<Result<DecideReply, ServeError>>,
-    /// Per-shard request assembly buffers for the mixed fan-out (entry strings
-    /// stay warm across calls).
+    /// Per-shard request assembly buffers (entry strings stay warm across
+    /// calls).
     shard_requests: Vec<Vec<DecideRequest>>,
-    /// Per-shard reply buffers for the mixed fan-out (warm `DecideReply`
-    /// slots circulate between these and the caller's `out` via swaps).
+    /// Per-shard reply buffers (warm `DecideReply` slots circulate between
+    /// these and the caller's `out` via swaps).
     shard_replies: Vec<Vec<Result<DecideReply, ServeError>>>,
     /// Per-shard entry/slot cursors, reused by partition and reassembly.
     shard_cursors: Vec<usize>,
-    /// Shards addressed by the current mixed batch, in first-touch order.
+    /// Shards addressed by the current window, in first-touch order.
     touched: Vec<usize>,
-    /// `(shard, count)` per original mixed request, for in-order reassembly.
+    /// `(shard, count)` per original `(tenant, count)` pair, for in-order
+    /// reassembly.
     plan: Vec<(usize, usize)>,
 }
 
 impl<'e> ServeClient<'e> {
     pub(crate) fn new(engine: &'e ServeEngine) -> Self {
         let shards = engine.num_shards().max(1);
-        // Capacity 1 per lane: a client keeps at most one batch in flight per
-        // shard, so the shard's reply send never blocks.
-        let batch_reply = (0..shards).map(|_| sync_channel(1)).collect();
-        let (single_reply_tx, single_reply_rx) = sync_channel(1);
+        // Capacity 1 per lane: a client keeps at most one window in flight
+        // per shard, so the shard's reply send never blocks.
+        let lanes = (0..shards).map(|_| sync_channel(1)).collect();
         let (recycle_tx, recycle_rx) = sync_channel(FEEDBACK_POOL_CAPACITY);
         ServeClient {
             engine,
-            batch_reply,
-            single_reply_tx,
-            single_reply_rx,
+            lanes,
             recycle_tx,
             recycle_rx,
-            request_pool: Vec::new(),
             feedback_pool: Vec::new(),
             single_scratch: Vec::new(),
             shard_requests: (0..shards).map(|_| Vec::new()).collect(),
@@ -156,8 +144,8 @@ impl<'e> ServeClient<'e> {
     /// Serves `n` consecutive decisions for `tenant` over one channel
     /// round-trip, writing the results into `out` in round order.
     ///
-    /// `out` is cleared of stale *meaning* but not of storage: its existing
-    /// entries are handed to the shard as warm reply slots and refilled in
+    /// `out` is cleared of stale *meaning* but not of storage: its warm
+    /// entries are swapped with the client's reply buffers and refilled in
     /// place, so a loop that keeps reusing the same vector performs no
     /// allocation once sizes have stabilised. The produced decisions, rewards,
     /// regret accounting, and tenant metrics are bit-identical to `n`
@@ -174,18 +162,19 @@ impl<'e> ServeClient<'e> {
         n: usize,
         out: &mut Vec<Result<DecideReply, ServeError>>,
     ) -> Result<(), ServeError> {
-        self.decide_many_inner(tenant, n, out, true)
+        self.decide_window([(tenant, n)], out, true)
     }
 
     /// Non-blocking admission variant of [`ServeClient::decide_many`]: when
-    /// the tenant's shard queue is full the batch is **not** enqueued and
+    /// the tenant's shard queue is full the window is **not** enqueued and
     /// [`ServeError::Overloaded`] is returned immediately instead of blocking
-    /// the caller. The request and reply buffers (including `out`'s warm
-    /// slots) are recovered into the client's pools, so a rejected batch
-    /// costs no allocation; `out`'s *contents* are unspecified after an
-    /// error. This is the admission-control path of the network front end —
-    /// an overloaded shard turns into an overload frame on the wire rather
-    /// than an unboundedly blocked connection.
+    /// the caller. A single-tenant window goes to a single shard, so a
+    /// bounced window is all-or-nothing. The request and reply buffers are
+    /// recovered into the client, so a rejected window costs no allocation;
+    /// `out`'s *contents* are unspecified after an error. This is the
+    /// admission-control path of the network front end — an overloaded shard
+    /// turns into an overload frame on the wire rather than an unboundedly
+    /// blocked connection.
     ///
     /// # Errors
     ///
@@ -199,108 +188,14 @@ impl<'e> ServeClient<'e> {
         n: usize,
         out: &mut Vec<Result<DecideReply, ServeError>>,
     ) -> Result<(), ServeError> {
-        self.decide_many_inner(tenant, n, out, false)
+        self.decide_window([(tenant, n)], out, false)
     }
 
-    fn decide_many_inner(
-        &mut self,
-        tenant: &str,
-        n: usize,
-        out: &mut Vec<Result<DecideReply, ServeError>>,
-        block: bool,
-    ) -> Result<(), ServeError> {
-        if n == 0 {
-            out.clear();
-            return Ok(());
-        }
-        if n == 1 {
-            // At batch size 1 the buffer round-trip costs more than it
-            // amortises; degrade to the per-call command over the pooled
-            // single-reply channel.
-            return self.decide_one_into(tenant, out, block);
-        }
-        let mut requests = self.request_pool.pop().unwrap_or_default();
-        write_decide_requests(&mut requests, tenant, n);
-        let replies = std::mem::take(out);
-        let shard = self.engine.shard_of(tenant);
-        let command = Command::DecideMany {
-            tag: shard as u64,
-            requests,
-            replies,
-            reply: self.batch_reply[shard].0.clone(),
-        };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
-            // Recover the buffers parked in the bounced command.
-            if let Command::DecideMany {
-                requests, replies, ..
-            } = command
-            {
-                self.request_pool.push(requests);
-                *out = replies;
-            }
-            return Err(error);
-        }
-        let batch = self.wait_reply(shard)?;
-        self.request_pool.push(batch.requests);
-        *out = batch.replies;
-        Ok(())
-    }
-
-    /// The batch-1 fast path: one `Command::Decide` over the pooled
-    /// single-reply channel — the per-call transport minus its fresh
-    /// reply-channel allocation. Semantics (results, metrics, WAL traffic)
-    /// are identical to a 1-element `DecideMany`.
-    fn decide_one_into(
-        &mut self,
-        tenant: &str,
-        out: &mut Vec<Result<DecideReply, ServeError>>,
-        block: bool,
-    ) -> Result<(), ServeError> {
-        let shard = self.engine.shard_of(tenant);
-        let command = Command::Decide {
-            tenant: tenant.to_owned(),
-            reply: self.single_reply_tx.clone(),
-        };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            return Err(match bounced {
-                TrySendError::Full(_) => ServeError::Overloaded,
-                TrySendError::Disconnected(_) => ServeError::EngineDown,
-            });
-        }
-        // Same liveness-polling wait as the batch lanes: the pooled channel
-        // outlives the command, so a dead shard must not hang a plain `recv`.
-        let result = loop {
-            match self.single_reply_rx.recv_timeout(REPLY_POLL) {
-                Ok(result) => break result,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.engine.shard_is_down(shard) {
-                        if let Ok(result) = self.single_reply_rx.try_recv() {
-                            break result;
-                        }
-                        return Err(ServeError::EngineDown);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ServeError::EngineDown),
-            }
-        };
-        out.clear();
-        out.push(result);
-        Ok(())
-    }
-
-    /// Serves a mixed-tenant batch — `(tenant, count)` pairs in caller order —
+    /// Serves a mixed-tenant window — `(tenant, count)` pairs in caller order —
     /// by partitioning it across the owning shards, sending **all** per-shard
-    /// `DecideMany` commands before collecting any reply, and reassembling
-    /// the replies into `out` in the original request order. The target
-    /// shards therefore serve their partitions concurrently instead of
+    /// decide commands before collecting any reply, and reassembling the
+    /// replies into `out` in the original request order. The target shards
+    /// therefore serve their partitions concurrently instead of
     /// shard-at-a-time; results are bit-identical to issuing one
     /// [`ServeClient::decide_many`] per `(tenant, count)` pair in order
     /// (tenants are shard-pinned, so cross-shard completion order cannot
@@ -310,7 +205,7 @@ impl<'e> ServeClient<'e> {
     /// buffers live in the client and recycle across calls, and `out`'s warm
     /// slots are swapped (not cloned) with the shard buffers, so a
     /// steady-state mixed loop allocates nothing. Zero-count pairs are
-    /// skipped; an empty batch clears `out`.
+    /// skipped; an empty window clears `out`.
     ///
     /// # Errors
     ///
@@ -327,11 +222,25 @@ impl<'e> ServeClient<'e> {
     where
         I: IntoIterator<Item = (&'a str, usize)>,
     {
+        self.decide_window(requests, out, true)
+    }
+
+    /// The one decide path behind every public decide call. `block == false`
+    /// bounces a full shard queue with [`ServeError::Overloaded`]; it is only
+    /// offered for single-tenant windows, which address a single shard and
+    /// so are enqueued whole or not at all.
+    fn decide_window<'a, I>(
+        &mut self,
+        requests: I,
+        out: &mut Vec<Result<DecideReply, ServeError>>,
+        block: bool,
+    ) -> Result<(), ServeError>
+    where
+        I: IntoIterator<Item = (&'a str, usize)>,
+    {
         self.plan.clear();
         self.touched.clear();
-        for cursor in self.shard_cursors.iter_mut() {
-            *cursor = 0;
-        }
+        self.shard_cursors.fill(0);
         let mut total = 0usize;
         for (tenant, n) in requests {
             if n == 0 {
@@ -354,7 +263,6 @@ impl<'e> ServeClient<'e> {
             out.clear();
             return Ok(());
         }
-        out.resize_with(total, || Err(ServeError::EngineDown));
 
         // Fan-out: every shard's command goes on the wire before any reply is
         // collected, so the shards work their partitions in parallel.
@@ -363,20 +271,26 @@ impl<'e> ServeClient<'e> {
         for &shard in &self.touched {
             let mut requests = std::mem::take(&mut self.shard_requests[shard]);
             requests.truncate(self.shard_cursors[shard]);
-            let replies = std::mem::take(&mut self.shard_replies[shard]);
-            let command = Command::DecideMany {
-                tag: shard as u64,
+            let command = Command::Decide {
                 requests,
-                replies,
-                reply: self.batch_reply[shard].0.clone(),
+                replies: std::mem::take(&mut self.shard_replies[shard]),
+                reply: self.lanes[shard].0.clone(),
             };
-            if let Err(e) = self.engine.send_to_shard(shard, command) {
+            if let Err((bounced, e)) = self.engine.enqueue(shard, command, block) {
+                // Recover the buffers parked in the command that never left.
+                if let Command::Decide {
+                    requests, replies, ..
+                } = bounced
+                {
+                    self.shard_requests[shard] = requests;
+                    self.shard_replies[shard] = replies;
+                }
                 failure = Some(e);
                 break;
             }
             sent += 1;
         }
-        // Collect every in-flight batch even after a failure, so the
+        // Collect every in-flight window even after a failure, so the
         // per-shard reply lanes are clean for the next call.
         for idx in 0..sent {
             let shard = self.touched[idx];
@@ -394,11 +308,16 @@ impl<'e> ServeClient<'e> {
             return Err(e);
         }
 
+        // One shard served the whole window in caller order: hand its reply
+        // buffer over as is, keeping `out`'s old slots warm for the next call.
+        if let [shard] = self.touched[..] {
+            std::mem::swap(out, &mut self.shard_replies[shard]);
+            return Ok(());
+        }
         // Reassemble in original request order. Swapping (rather than moving)
         // keeps both `out`'s and the shard buffers' slots warm.
-        for cursor in self.shard_cursors.iter_mut() {
-            *cursor = 0;
-        }
+        out.resize_with(total, || Err(ServeError::EngineDown));
+        self.shard_cursors.fill(0);
         let mut i = 0usize;
         for &(shard, n) in &self.plan {
             let cursor = self.shard_cursors[shard];
@@ -411,10 +330,9 @@ impl<'e> ServeClient<'e> {
         Ok(())
     }
 
-    /// Serves one decision through the batched transport (a 1-element
-    /// [`ServeClient::decide_many`] on a client-owned scratch buffer). Same
-    /// results as [`ServeEngine::decide`], minus the per-call reply-channel
-    /// construction.
+    /// Serves one decision as a window of one on a client-owned scratch
+    /// buffer. Same results as [`ServeEngine::decide`], minus the per-call
+    /// reply-channel construction.
     pub fn decide(&mut self, tenant: &str) -> Result<DecideReply, ServeError> {
         let mut out = std::mem::take(&mut self.single_scratch);
         let sent = self.decide_many(tenant, 1, &mut out);
@@ -445,7 +363,7 @@ impl<'e> ServeClient<'e> {
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
     ) -> Result<usize, ServeError> {
-        self.feedback_many_inner(tenant, events, true)
+        self.feedback_window(tenant, events, true)
     }
 
     /// Non-blocking admission variant of [`ServeClient::feedback_many`]: a
@@ -465,10 +383,10 @@ impl<'e> ServeClient<'e> {
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
     ) -> Result<usize, ServeError> {
-        self.feedback_many_inner(tenant, events, false)
+        self.feedback_window(tenant, events, false)
     }
 
-    fn feedback_many_inner(
+    fn feedback_window(
         &mut self,
         tenant: &str,
         events: impl IntoIterator<Item = (u64, FeedbackEvent)>,
@@ -498,77 +416,19 @@ impl<'e> ServeClient<'e> {
             self.feedback_pool.push(buffer);
             return Ok(0);
         }
-        if used == 1 {
-            // Batch-1 fast path: a single fire-and-forget `Command::Feedback`
-            // skips the buffer recycle round-trip entirely.
-            let entry = buffer.pop().expect("one used entry");
-            return self.feedback_one(buffer, entry, block);
-        }
-        let shard = self.engine.shard_of(tenant);
-        let command = Command::FeedbackMany {
+        let command = Command::Feedback {
             events: buffer,
-            recycle: self.recycle_tx.clone(),
+            recycle: Some(self.recycle_tx.clone()),
         };
-        if block {
-            self.engine.send_to_shard(shard, command)?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
+        let shard = self.engine.shard_of(tenant);
+        if let Err((bounced, e)) = self.engine.enqueue(shard, command, block) {
             // Recover the request buffer parked in the bounced command.
-            if let Command::FeedbackMany { events, .. } = command {
+            if let Command::Feedback { events, .. } = bounced {
                 self.feedback_pool.push(events);
             }
-            return Err(error);
+            return Err(e);
         }
         Ok(used)
-    }
-
-    /// Sends one feedback event as a per-call `Command::Feedback` (same
-    /// per-event semantics as a 1-element window, no recycle round-trip).
-    /// `buffer` is the already-emptied pool buffer the event was staged in;
-    /// it returns to the pool on every path, and a bounced event's tenant
-    /// string is recovered into it first.
-    fn feedback_one(
-        &mut self,
-        mut buffer: Vec<FeedbackRequest>,
-        entry: FeedbackRequest,
-        block: bool,
-    ) -> Result<usize, ServeError> {
-        let shard = self.engine.shard_of(&entry.tenant);
-        let command = Command::Feedback {
-            tenant: entry.tenant,
-            round: entry.round,
-            event: entry.event,
-        };
-        if block {
-            let sent = self.engine.send_to_shard(shard, command);
-            self.feedback_pool.push(buffer);
-            sent?;
-        } else if let Err(bounced) = self.engine.try_send_to_shard(shard, command) {
-            let (command, error) = match bounced {
-                TrySendError::Full(c) => (c, ServeError::Overloaded),
-                TrySendError::Disconnected(c) => (c, ServeError::EngineDown),
-            };
-            if let Command::Feedback {
-                tenant,
-                round,
-                event,
-            } = command
-            {
-                buffer.push(FeedbackRequest {
-                    tenant,
-                    round,
-                    event,
-                });
-            }
-            self.feedback_pool.push(buffer);
-            return Err(error);
-        } else {
-            self.feedback_pool.push(buffer);
-        }
-        Ok(1)
     }
 
     /// Moves buffers the shards have finished with back into the local pool.
@@ -578,28 +438,20 @@ impl<'e> ServeClient<'e> {
         }
     }
 
-    /// Waits for the in-flight batch on `shard`'s dedicated reply lane. The
+    /// Waits for the in-flight window on `shard`'s dedicated reply lane. The
     /// lane outlives any single command, so a shard that died *without*
     /// replying would leave a plain `recv` hanging; the wait therefore polls
     /// shard liveness at a coarse interval and converts a dead shard into
     /// [`ServeError::EngineDown`] (after draining a reply the shard may have
     /// managed to send first).
     fn wait_reply(&self, shard: usize) -> Result<DecideBatch, ServeError> {
-        let rx = &self.batch_reply[shard].1;
+        let rx = &self.lanes[shard].1;
         loop {
             match rx.recv_timeout(REPLY_POLL) {
-                Ok(batch) => {
-                    // At most one batch in flight per shard per client, so the
-                    // echoed tag can only be the lane's own shard.
-                    debug_assert_eq!(batch.tag, shard as u64);
-                    return Ok(batch);
-                }
+                Ok(batch) => return Ok(batch),
                 Err(RecvTimeoutError::Timeout) => {
                     if self.engine.shard_is_down(shard) {
-                        if let Ok(batch) = rx.try_recv() {
-                            return Ok(batch);
-                        }
-                        return Err(ServeError::EngineDown);
+                        return rx.try_recv().map_err(|_| ServeError::EngineDown);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(ServeError::EngineDown),
@@ -634,14 +486,6 @@ fn append_decide_requests(
         *entries += 1;
         n -= count as usize;
     }
-}
-
-/// Writes a single `(tenant, n)` request list into a recycled buffer,
-/// truncating any stale tail entries.
-fn write_decide_requests(requests: &mut Vec<DecideRequest>, tenant: &str, n: usize) {
-    let mut entries = 0usize;
-    append_decide_requests(requests, &mut entries, tenant, n);
-    requests.truncate(entries);
 }
 
 #[cfg(test)]
@@ -790,18 +634,8 @@ mod tests {
         );
         engine.create_tenant(spec).unwrap();
 
-        // Wedge the shard: it dequeues this drain and blocks sending the ack
-        // into a rendezvous channel nobody is reading yet.
-        let (wedge_tx, wedge_rx) = std::sync::mpsc::sync_channel::<()>(0);
-        engine
-            .send_to_shard(0, Command::Drain { reply: wedge_tx })
-            .unwrap();
-        // Fill the capacity-1 queue behind the wedged command. The blocking
-        // send also guarantees the wedge drain has been dequeued.
-        let (barrier_tx, barrier_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        engine
-            .send_to_shard(0, Command::Drain { reply: barrier_tx })
-            .unwrap();
+        // Wedge the shard and fill its capacity-1 queue behind the wedge.
+        let wedge = engine.wedge_shard(0);
 
         let mut client = engine.client();
         let mut out = Vec::new();
@@ -814,15 +648,14 @@ mod tests {
             client.try_feedback_many("t", [event]),
             Err(ServeError::Overloaded)
         );
-        // The bounced buffers were recovered into the pools, not leaked into
-        // the queue: nothing reached the shard.
-        assert_eq!(client.request_pool.len(), 1);
+        // The bounced buffers were recovered into the client, not leaked
+        // into the queue: nothing reached the shard.
+        assert_eq!(client.shard_requests[0].len(), 1);
         assert_eq!(client.feedback_pool.len(), 1);
 
         // Release the shard; the try paths now succeed and the recovered
         // buffers are reused.
-        wedge_rx.recv().unwrap();
-        barrier_rx.recv().unwrap();
+        drop(wedge);
         client.try_decide_many("t", 4, &mut out).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(Result::is_ok));
@@ -836,12 +669,12 @@ mod tests {
 
     #[test]
     fn batch_1_fast_path_matches_per_call_decide_and_feedback() {
+        // A batch of one is a window of one: same results as the per-call API.
         let fast = engine_with_tenant("t", 3);
         let per_call = engine_with_tenant("t", 3);
         let mut client = fast.client();
         let mut out = Vec::new();
         for _ in 0..9 {
-            // n == 1 routes through `Command::Decide` / `Command::Feedback`.
             client.decide_many("t", 1, &mut out).unwrap();
             assert_eq!(out.len(), 1);
             let mine = out[0].as_mut().unwrap();
@@ -955,13 +788,19 @@ mod tests {
     #[test]
     fn request_writer_reuses_and_truncates_entries() {
         let mut requests = Vec::new();
-        write_decide_requests(&mut requests, "alpha", 5);
+        let mut entries = 0;
+        append_decide_requests(&mut requests, &mut entries, "alpha", 5);
+        append_decide_requests(&mut requests, &mut entries, "be", 2);
+        assert_eq!((entries, requests.len()), (2, 2));
+        // The next window overwrites the warm entries from the front.
+        let mut entries = 0;
+        append_decide_requests(&mut requests, &mut entries, "c", 3);
+        assert_eq!((entries, requests.len()), (1, 2));
+        assert_eq!(requests[0].tenant, "c");
+        assert_eq!(requests[0].count, 3);
+        // The fan-out truncates the stale tail before sending, as here.
+        requests.truncate(entries);
         assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].tenant, "alpha");
-        assert_eq!(requests[0].count, 5);
-        write_decide_requests(&mut requests, "be", 2);
-        assert_eq!(requests.len(), 1);
-        assert_eq!(requests[0].tenant, "be");
-        assert_eq!(requests[0].count, 2);
+        assert_eq!(requests[0].tenant, "c");
     }
 }

@@ -2,7 +2,7 @@
 //! synchronous client API.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender, TrySendError};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 
@@ -13,7 +13,7 @@ use netband_store::{StoreConfig, StoreMetrics};
 use crate::api::{DecideReply, FeedbackEvent, RegisterTenantSpec, ServeError};
 use crate::durable;
 use crate::metrics::{MetricsReport, TenantTelemetry, TraceReport};
-use crate::shard::{shard_loop, Command, ShardBoot};
+use crate::shard::{shard_loop, Command, DecideRequest, FeedbackRequest, ShardBoot};
 use crate::snapshot::TenantSnapshot;
 use crate::tenant::TenantSpec;
 
@@ -233,16 +233,22 @@ impl ServeEngine {
         // The shard dequeues this drain and blocks sending the ack into a
         // rendezvous channel the guard has not read yet.
         let (ack, release) = sync_channel(0);
-        self.send_to_shard(shard, Command::Drain { reply: ack })
-            .expect("wedge a live shard");
+        assert!(
+            self.enqueue(shard, Command::Drain { reply: ack }, true)
+                .is_ok(),
+            "wedge a live shard"
+        );
         let mut releases = vec![release];
         // Fill every queue slot behind the wedged command. The sends block
         // until the wedge drain has been dequeued, so when the last one
         // returns the queue is exactly full.
         for _ in 0..self.queue_capacity {
             let (ack, release) = sync_channel(1);
-            self.send_to_shard(shard, Command::Drain { reply: ack })
-                .expect("fill a live shard queue");
+            assert!(
+                self.enqueue(shard, Command::Drain { reply: ack }, true)
+                    .is_ok(),
+                "fill a live shard queue"
+            );
             releases.push(release);
         }
         ShardWedge { releases }
@@ -254,10 +260,6 @@ impl ServeEngine {
         (stable_tenant_hash(tenant) % self.senders.len() as u64) as usize
     }
 
-    fn sender_for(&self, tenant: &str) -> &SyncSender<Command> {
-        &self.senders[self.shard_of(tenant)]
-    }
-
     /// Creates a batched client handle over this engine; see
     /// [`ServeClient`](crate::ServeClient). Cheap — intended usage is one
     /// client per driving thread.
@@ -265,41 +267,45 @@ impl ServeEngine {
         crate::ServeClient::new(self)
     }
 
-    /// Enqueues a pre-built command on `shard` (the batched client path).
-    pub(crate) fn send_to_shard(&self, shard: usize, command: Command) -> Result<(), ServeError> {
-        self.senders[shard]
-            .send(command)
-            .map_err(|_| ServeError::EngineDown)
-    }
-
-    /// Non-blocking [`ServeEngine::send_to_shard`]: a full queue returns the
-    /// command to the caller instead of blocking (the admission-control path
-    /// of the network front end). The caller recovers its buffers from the
-    /// returned command and surfaces [`ServeError::Overloaded`].
+    /// Enqueues a command on `shard`. With `block` a full queue parks the
+    /// caller (backpressure); without it the command bounces back with
+    /// [`ServeError::Overloaded`] instead (the admission-control path of the
+    /// network front end). A command that was not enqueued is returned with
+    /// its error, so the caller can recover the buffers it carries.
     // The Err variant deliberately carries the whole rejected command so the
     // caller can take its pooled buffers back — boxing it would trade one
     // cold-path copy for a hot-path allocation.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn try_send_to_shard(
+    pub(crate) fn enqueue(
         &self,
         shard: usize,
         command: Command,
-    ) -> Result<(), TrySendError<Command>> {
-        let result = self.senders[shard].try_send(command);
-        if let Err(TrySendError::Full(_)) = &result {
-            // Queue-full rejections never reach the shard, so they are
-            // accounted here at the engine level.
-            self.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            if let Ok(mut ring) = self.trace.lock() {
-                ring.record(
-                    TraceKind::ShardOverloaded {
-                        shard: shard as u32,
-                    },
-                    "",
-                );
+        block: bool,
+    ) -> Result<(), (Command, ServeError)> {
+        let sender = &self.senders[shard];
+        if block {
+            return sender
+                .send(command)
+                .map_err(|SendError(c)| (c, ServeError::EngineDown));
+        }
+        match sender.try_send(command) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Disconnected(c)) => Err((c, ServeError::EngineDown)),
+            Err(TrySendError::Full(c)) => {
+                // Queue-full rejections never reach the shard, so they are
+                // accounted here at the engine level.
+                self.overload_rejections.fetch_add(1, Ordering::Relaxed);
+                if let Ok(mut ring) = self.trace.lock() {
+                    ring.record(
+                        TraceKind::ShardOverloaded {
+                            shard: shard as u32,
+                        },
+                        "",
+                    );
+                }
+                Err((c, ServeError::Overloaded))
             }
         }
-        result
     }
 
     /// Whether `shard`'s worker thread has exited (shutdown or panic). Used
@@ -312,18 +318,35 @@ impl ServeEngine {
             .unwrap_or(true)
     }
 
-    /// Sends a command built around a fresh reply channel and waits for the
-    /// answer.
+    /// Sends `shard` a command built around a fresh reply channel, blocking
+    /// while its queue is full, and waits for the answer.
     fn request<T>(
         &self,
-        sender: &SyncSender<Command>,
-        build: impl FnOnce(SyncSender<Result<T, ServeError>>) -> Command,
+        shard: usize,
+        build: impl FnOnce(SyncSender<T>) -> Command,
     ) -> Result<T, ServeError> {
         let (reply, response) = sync_channel(1);
-        sender
-            .send(build(reply))
-            .map_err(|_| ServeError::EngineDown)?;
-        response.recv().map_err(|_| ServeError::EngineDown)?
+        self.enqueue(shard, build(reply), true)
+            .map_err(|(_, e)| e)?;
+        response.recv().map_err(|_| ServeError::EngineDown)
+    }
+
+    /// Sends every shard the command `build` makes around a fresh reply
+    /// channel, then collects the answers in shard order. Each answer is a
+    /// queue barrier: everything enqueued on that shard before the call has
+    /// been processed.
+    fn broadcast<T>(&self, build: impl Fn(SyncSender<T>) -> Command) -> Result<Vec<T>, ServeError> {
+        let mut responses = Vec::with_capacity(self.senders.len());
+        for shard in 0..self.senders.len() {
+            let (reply, response) = sync_channel(1);
+            self.enqueue(shard, build(reply), true)
+                .map_err(|(_, e)| e)?;
+            responses.push(response);
+        }
+        responses
+            .into_iter()
+            .map(|response| response.recv().map_err(|_| ServeError::EngineDown))
+            .collect()
     }
 
     /// Registers a new tenant on the shard its id routes to.
@@ -333,11 +356,10 @@ impl ServeEngine {
     /// [`ServeError::DuplicateTenant`] if the id is taken,
     /// [`ServeError::EngineDown`] after shutdown.
     pub fn create_tenant(&self, spec: TenantSpec) -> Result<(), ServeError> {
-        let sender = self.sender_for(spec.id());
-        self.request(sender, |reply| Command::Create {
+        self.request(self.shard_of(spec.id()), |reply| Command::Create {
             spec: Box::new(spec),
             reply,
-        })
+        })?
     }
 
     /// Registers a tenant from a declarative scenario document (the
@@ -377,25 +399,32 @@ impl ServeEngine {
     /// is rebuilt on restore, so snapshots taken before a shutdown resume
     /// bit-identically on a fresh engine.
     pub fn restore_tenant(&self, snapshot: TenantSnapshot) -> Result<(), ServeError> {
-        let sender = self.sender_for(snapshot.id());
-        self.request(sender, |reply| Command::Restore {
+        self.request(self.shard_of(snapshot.id()), |reply| Command::Restore {
             snapshot: Box::new(snapshot),
             reply,
-        })
+        })?
     }
 
-    /// Serves one decision for `tenant`, blocking until its shard answers.
+    /// Serves one decision for `tenant`, blocking until its shard answers —
+    /// a decide window of one over a fresh reply channel.
     pub fn decide(&self, tenant: &str) -> Result<DecideReply, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Decide {
-            tenant: tenant.to_owned(),
+        self.request(self.shard_of(tenant), |reply| Command::Decide {
+            requests: vec![DecideRequest {
+                tenant: tenant.to_owned(),
+                count: 1,
+            }],
+            replies: Vec::new(),
             reply,
-        })
+        })?
+        .replies
+        .pop()
+        .expect("a window of one yields one reply")
     }
 
     /// Ingests one feedback event for `tenant`'s round `round`,
-    /// fire-and-forget. Events may arrive delayed, in batches, and out of
-    /// round order; each tenant applies its queue in round order at flush
-    /// points (see [`crate::FlushPolicy`]).
+    /// fire-and-forget, as a feedback window of one. Events may arrive
+    /// delayed, in batches, and out of round order; each tenant applies its
+    /// queue in round order at flush points (see [`crate::FlushPolicy`]).
     ///
     /// A full shard queue blocks the caller (backpressure). Feedback for an
     /// unknown tenant, of the wrong kind, or quoting a round the tenant never
@@ -412,13 +441,16 @@ impl ServeEngine {
         round: u64,
         event: FeedbackEvent,
     ) -> Result<(), ServeError> {
-        self.sender_for(tenant)
-            .send(Command::Feedback {
+        let window = Command::Feedback {
+            events: vec![FeedbackRequest {
                 tenant: tenant.to_owned(),
                 round,
                 event,
-            })
-            .map_err(|_| ServeError::EngineDown)
+            }],
+            recycle: None,
+        };
+        self.enqueue(self.shard_of(tenant), window, true)
+            .map_err(|(_, e)| e)
     }
 
     /// Asks `tenant` to apply its pending feedback now (fire-and-forget).
@@ -427,45 +459,35 @@ impl ServeEngine {
     ///
     /// [`ServeError::EngineDown`] after shutdown.
     pub fn flush(&self, tenant: &str) -> Result<(), ServeError> {
-        self.sender_for(tenant)
-            .send(Command::Flush {
-                tenant: tenant.to_owned(),
-            })
-            .map_err(|_| ServeError::EngineDown)
+        let flush = Command::Flush {
+            tenant: tenant.to_owned(),
+        };
+        self.enqueue(self.shard_of(tenant), flush, true)
+            .map_err(|(_, e)| e)
     }
 
     /// Checkpoints `tenant` (flushing its pending feedback first) without
     /// removing it.
     pub fn snapshot_tenant(&self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Snapshot {
+        self.request(self.shard_of(tenant), |reply| Command::Snapshot {
             tenant: tenant.to_owned(),
             reply,
-        })
+        })?
     }
 
     /// Removes `tenant` from the engine, returning its final checkpoint.
     pub fn evict_tenant(&self, tenant: &str) -> Result<TenantSnapshot, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Evict {
+        self.request(self.shard_of(tenant), |reply| Command::Evict {
             tenant: tenant.to_owned(),
             reply,
-        })
+        })?
     }
 
     /// Flushes every tenant's pending feedback on every shard and waits until
     /// all previously enqueued commands have been processed (a full-engine
     /// barrier).
     pub fn drain(&self) -> Result<(), ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Drain { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        for response in responses {
-            response.recv().map_err(|_| ServeError::EngineDown)?;
-        }
+        self.broadcast(|reply| Command::Drain { reply })?;
         Ok(())
     }
 
@@ -473,17 +495,8 @@ impl ServeEngine {
     /// [`ServeEngine::drain`], acts as a queue barrier, so the report covers
     /// everything enqueued before the call.
     pub fn metrics(&self) -> Result<MetricsReport, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Metrics { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
         let mut report = MetricsReport::default();
-        for response in responses {
-            let shard = response.recv().map_err(|_| ServeError::EngineDown)?;
+        for shard in self.broadcast(|reply| Command::Metrics { reply })? {
             report.shards.push(shard.metrics);
             report.tenants.extend(shard.tenants);
         }
@@ -499,27 +512,20 @@ impl ServeEngine {
     /// (events still queued are counted in
     /// [`TenantTelemetry::pending_feedback`]).
     pub fn telemetry(&self, tenant: &str) -> Result<TenantTelemetry, ServeError> {
-        self.request(self.sender_for(tenant), |reply| Command::Telemetry {
+        self.request(self.shard_of(tenant), |reply| Command::Telemetry {
             tenant: tenant.to_owned(),
             reply,
-        })
+        })?
     }
 
     /// Telemetry snapshots for every tenant on every shard, sorted by tenant
     /// id. Acts as a queue barrier per shard, like [`ServeEngine::metrics`].
     pub fn telemetry_all(&self) -> Result<Vec<TenantTelemetry>, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::TelemetryAll { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        let mut all = Vec::new();
-        for response in responses {
-            all.extend(response.recv().map_err(|_| ServeError::EngineDown)?);
-        }
+        let mut all: Vec<TenantTelemetry> = self
+            .broadcast(|reply| Command::TelemetryAll { reply })?
+            .into_iter()
+            .flatten()
+            .collect();
         all.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(all)
     }
@@ -530,21 +536,12 @@ impl ServeEngine {
     /// engine runs without a store. Acts as a queue barrier per shard, like
     /// [`ServeEngine::metrics`].
     pub fn store_metrics(&self) -> Result<Option<StoreMetrics>, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::StoreMetrics { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
         let mut total: Option<StoreMetrics> = None;
-        for response in responses {
-            if let Some(shard) = response.recv().map_err(|_| ServeError::EngineDown)? {
-                total
-                    .get_or_insert_with(StoreMetrics::default)
-                    .absorb(&shard);
-            }
+        let shards = self.broadcast(|reply| Command::StoreMetrics { reply })?;
+        for shard in shards.into_iter().flatten() {
+            total
+                .get_or_insert_with(StoreMetrics::default)
+                .absorb(&shard);
         }
         Ok(total)
     }
@@ -554,20 +551,10 @@ impl ServeEngine {
     /// [`TraceReport`]. Draining resets the rings (events are returned once);
     /// sequence numbers keep counting across drains.
     pub fn trace(&self) -> Result<TraceReport, ServeError> {
-        let mut responses = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (reply, response) = sync_channel(1);
-            sender
-                .send(Command::Trace { reply })
-                .map_err(|_| ServeError::EngineDown)?;
-            responses.push(response);
-        }
-        let mut report = TraceReport::default();
-        for response in responses {
-            report
-                .shards
-                .push(response.recv().map_err(|_| ServeError::EngineDown)?);
-        }
+        let mut report = TraceReport {
+            shards: self.broadcast(|reply| Command::Trace { reply })?,
+            ..TraceReport::default()
+        };
         if let Ok(mut ring) = self.trace.lock() {
             ring.drain_into(&mut report.engine);
         }

@@ -41,22 +41,22 @@
 //! simulation bit for bit; the golden-trace equivalence suite in
 //! `tests/serve_equivalence.rs` pins exactly that.
 //!
-//! ## Batched serving
+//! ## Windowed serving
 //!
-//! The per-call methods above pay one reply-channel construction and two
-//! channel hops per decision. The hot path for real traffic is the
-//! [`ServeClient`] handle ([`ServeEngine::client`]): one long-lived reply
-//! channel per client, [`ServeClient::decide_many`] amortising a single
-//! command/reply round-trip over `n` decisions, and
-//! [`ServeClient::feedback_many`] ingesting a whole feedback window per
-//! command — with every request/reply buffer (tenant-id strings, decision
-//! vectors, echoed feedback) recycled, so a steady-state batched decide
-//! allocates nothing on either side. Batching changes transport only: the
-//! served trajectories, per-tenant metrics, and flush semantics are
-//! bit-identical to the per-call sequence (pinned by
+//! A shard has exactly two data-path commands: a decide window and a
+//! feedback window. The per-call methods above send a window of one, paying
+//! one reply-channel construction and two channel hops per decision. The hot
+//! path for real traffic is the [`ServeClient`] handle
+//! ([`ServeEngine::client`]): one long-lived reply lane per shard,
+//! [`ServeClient::decide_many`] amortising a single command/reply round-trip
+//! over `n` decisions, and [`ServeClient::feedback_many`] ingesting a whole
+//! feedback window per command — with every request/reply buffer (tenant-id
+//! strings, decision vectors, echoed feedback) recycled, so a steady-state
+//! windowed decide allocates nothing on either side. Window size changes
+//! transport only: the served trajectories, per-tenant metrics, and flush
+//! semantics are bit-identical to the per-call sequence (pinned by
 //! `tests/serve_equivalence.rs`). Shard-level command counts necessarily
-//! differ — one `DecideMany` is one command however many decisions it
-//! carries.
+//! differ — one window is one command however many decisions it carries.
 //!
 //! ## Example
 //!
@@ -121,9 +121,9 @@
 //! [`ServeEngine::snapshot_tenant`] (or [`ServeEngine::evict_tenant`])
 //! captures a [`TenantSnapshot`] — environment in its serialized form
 //! (graph and arms, *not* the derived CSR layout), policy state, RNG, regret
-//! accounting. [`ServeEngine::restore_tenant`] rebuilds the tenant through
-//! the same refresh path a `serde`-deserialized environment takes, so a
-//! restored tenant continues **bit-identically** on a fresh engine.
+//! accounting. [`ServeEngine::restore_tenant`] rebuilds the derived CSR
+//! layout from the graph, so a restored tenant continues **bit-identically**
+//! on a fresh engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

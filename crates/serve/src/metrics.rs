@@ -62,14 +62,19 @@ pub struct ShardMetrics {
     /// host (fire-and-forget commands cannot return an error, so they are
     /// counted here instead).
     pub rejected: u64,
-    /// Latency of `Decide` handling (select + pull + score + reply build).
+    /// Latency of each decision in a decide window (select + pull + score +
+    /// reply build). Per-call decides are windows of one and are timed the
+    /// same way: tenant lookup and disk rehydration happen once per window
+    /// entry, before the clock starts, and are not included.
     pub decide_latency: LatencyHistogram,
     /// Latency of feedback ingestion (queueing plus any triggered flush).
     pub feedback_latency: LatencyHistogram,
     /// Sampled per-stage decide timings (route → select → pull → score →
-    /// reply). Only every [`STAGE_SAMPLE_EVERY`]-th decide is split into
-    /// stages, so these histograms describe the *shape* of a decide, not the
-    /// decide count.
+    /// reply). Only every [`STAGE_SAMPLE_EVERY`]-th decide addressed to a
+    /// hosted tenant is split into stages (decides for unknown tenants do
+    /// not advance the count), so these histograms describe the *shape* of
+    /// a decide, not the decide count. The route lap reads about zero:
+    /// routing happens once per window entry, before the clock starts.
     pub stages: StageTimings,
 }
 

@@ -31,18 +31,18 @@ use crate::metrics::{ShardMetrics, TenantMetrics, TenantTelemetry, STAGE_SAMPLE_
 use crate::snapshot::TenantSnapshot;
 use crate::tenant::{Tenant, TenantSpec};
 
-/// One entry of a batched decide command: `count` consecutive decisions for
-/// `tenant`. Request buffers are recycled through the reply, so the tenant-id
-/// strings stay warm across batches.
+/// One entry of a decide window: `count` consecutive decisions for `tenant`.
+/// Request buffers are recycled through the reply, so the tenant-id strings
+/// stay warm across windows.
 #[derive(Debug)]
 pub(crate) struct DecideRequest {
     pub(crate) tenant: TenantId,
     pub(crate) count: u32,
 }
 
-/// One entry of a batched feedback command. The event is `mem::take`n out by
-/// the shard, so a recycled entry keeps its tenant-id string (and nothing
-/// else) warm.
+/// One entry of a feedback window. The event is `mem::take`n out by the
+/// shard, so a recycled entry keeps its tenant-id string (and nothing else)
+/// warm.
 #[derive(Debug)]
 pub(crate) struct FeedbackRequest {
     pub(crate) tenant: TenantId,
@@ -50,46 +50,33 @@ pub(crate) struct FeedbackRequest {
     pub(crate) event: FeedbackEvent,
 }
 
-/// A completed `DecideMany` batch travelling back to its client: the filled
-/// reply slots plus the request buffer, returned for recycling. `tag` echoes
-/// the client-chosen command tag so one pooled reply channel can serve
-/// batches sent to several shards.
+/// A served decide window travelling back to its client: the filled reply
+/// slots plus the request buffer, returned for recycling.
 pub(crate) struct DecideBatch {
-    pub(crate) tag: u64,
     pub(crate) requests: Vec<DecideRequest>,
     pub(crate) replies: Vec<Result<DecideReply, ServeError>>,
 }
 
 /// A command addressed to one shard. Fire-and-forget commands (`Feedback`,
-/// `FeedbackMany`, `Flush`) carry no reply channel; failures are counted in
+/// `Flush`) carry no reply channel; failures are counted in
 /// [`ShardMetrics::rejected`].
 pub(crate) enum Command {
+    /// Serve a decide window (one tenant lookup per request entry, `count`
+    /// decisions each), filling `replies` **in place** — warm slots are
+    /// reused, so a steady-state window allocates nothing — and send the
+    /// buffers back through `reply`. A per-call decide is a window of one.
     Decide {
-        tenant: TenantId,
-        reply: SyncSender<Result<DecideReply, ServeError>>,
-    },
-    /// Serve every request of the batch (one tenant lookup per request entry,
-    /// `count` decisions each), filling `replies` **in place** — warm slots
-    /// are reused, so a steady-state batch allocates nothing — and send the
-    /// buffers back through the client's long-lived reply channel.
-    DecideMany {
-        tag: u64,
         requests: Vec<DecideRequest>,
         replies: Vec<Result<DecideReply, ServeError>>,
         reply: SyncSender<DecideBatch>,
     },
+    /// Ingest a feedback window in order (round validation, flush
+    /// thresholds and rejected accounting apply per event), then hand the
+    /// drained request buffer back through `recycle`, if any (dropped, never
+    /// blocking the shard, when the client's pool is full or gone).
     Feedback {
-        tenant: TenantId,
-        round: u64,
-        event: FeedbackEvent,
-    },
-    /// Ingest every event of the batch (identical per-event semantics to
-    /// `Feedback`, including flush thresholds), then hand the drained request
-    /// buffer back through `recycle` for reuse (dropped, never blocking the
-    /// shard, if the client's pool is full or gone).
-    FeedbackMany {
         events: Vec<FeedbackRequest>,
-        recycle: SyncSender<Vec<FeedbackRequest>>,
+        recycle: Option<SyncSender<Vec<FeedbackRequest>>>,
     },
     Flush {
         tenant: TenantId,
@@ -281,55 +268,13 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
     // Recovery brings every tenant back resident; re-form the disk tier
     // before the first command so the cap holds from the start.
     enforce_cap(&mut tenants, &mut durable, &mut trace);
-    // Decides served by this shard, counted across all tenants and both
-    // transports; every STAGE_SAMPLE_EVERY-th one records its stage split.
+    // Decides served by this shard, counted across all tenants; every
+    // STAGE_SAMPLE_EVERY-th one records its stage split.
     let mut decides: u64 = 0;
     while let Ok(command) = commands.recv() {
         metrics.commands += 1;
         match command {
-            Command::Decide { tenant, reply } => {
-                let start = Instant::now();
-                decides += 1;
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                let result = match resident {
-                    Err(e) => Err(e),
-                    Ok(()) if decides % STAGE_SAMPLE_EVERY == 0 => {
-                        let mut clock = StageClock::start();
-                        let found = tenants.get_mut(&tenant);
-                        clock.lap(DecideStage::Route, &mut metrics.stages);
-                        match found {
-                            Some(t) => {
-                                let mut r = DecideReply::blank();
-                                t.decide_into(&mut r, Some((&mut clock, &mut metrics.stages)))
-                                    .map(|()| r)
-                            }
-                            None => Err(ServeError::UnknownTenant(tenant.clone())),
-                        }
-                    }
-                    Ok(()) => match tenants.get_mut(&tenant) {
-                        Some(t) => t.decide(),
-                        None => Err(ServeError::UnknownTenant(tenant.clone())),
-                    },
-                };
-                if result.is_ok() {
-                    if let Some(dur) = &mut durable {
-                        log_record(
-                            &tenants,
-                            dur,
-                            &mut trace,
-                            &WalRecord::Decide {
-                                tenant: tenant.clone(),
-                                count: 1,
-                            },
-                        );
-                    }
-                }
-                metrics.decide_latency.record(start.elapsed());
-                // A disconnected caller is not a shard failure.
-                let _ = reply.send(result);
-            }
-            Command::DecideMany {
-                tag,
+            Command::Decide {
                 requests,
                 mut replies,
                 reply,
@@ -350,10 +295,10 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                                 let start = Instant::now();
                                 decides += 1;
                                 if decides % STAGE_SAMPLE_EVERY == 0 {
-                                    // The per-entry tenant lookup is already
-                                    // done, so the Route lap is ~zero here —
-                                    // which is honest: batching is exactly
-                                    // what amortises routing away.
+                                    // The tenant lookup happens once per
+                                    // entry, before the clock starts, so the
+                                    // Route lap is ~zero: windows amortise
+                                    // routing away.
                                     let mut clock = StageClock::start();
                                     clock.lap(DecideStage::Route, &mut metrics.stages);
                                     decide_into_slot(
@@ -378,9 +323,6 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                                 Ok(()) => ServeError::UnknownTenant(request.tenant.clone()),
                             };
                             for _ in 0..request.count {
-                                // Record latency like the per-call path does
-                                // for unknown tenants, so both transports
-                                // produce the same shard metrics.
                                 let start = Instant::now();
                                 if slot == replies.len() {
                                     replies.push(Err(err.clone()));
@@ -407,52 +349,9 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                     }
                 }
                 // A disconnected caller is not a shard failure.
-                let _ = reply.send(DecideBatch {
-                    tag,
-                    requests,
-                    replies,
-                });
+                let _ = reply.send(DecideBatch { requests, replies });
             }
             Command::Feedback {
-                tenant,
-                round,
-                event,
-            } => {
-                let start = Instant::now();
-                let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);
-                // Clone for the log before the tenant consumes the event;
-                // only taken on durable shards.
-                let logged = durable.as_ref().map(|_| durable::event_to_wire(&event));
-                let outcome = match (resident, tenants.get_mut(&tenant)) {
-                    (Ok(()), Some(t)) => Some(t.feedback(round, event)),
-                    _ => None,
-                };
-                match outcome {
-                    Some(Ok(flushed)) => {
-                        if flushed > 0 {
-                            trace.record(TraceKind::FlushApplied { events: flushed }, &tenant);
-                        }
-                        if let Some(dur) = &mut durable {
-                            log_record(
-                                &tenants,
-                                dur,
-                                &mut trace,
-                                &WalRecord::Feedback {
-                                    tenant: tenant.clone(),
-                                    round,
-                                    event: logged.expect("cloned on durable shards"),
-                                },
-                            );
-                        }
-                    }
-                    Some(Err(_)) | None => {
-                        metrics.rejected += 1;
-                        trace.record(TraceKind::FeedbackRejected, &tenant);
-                    }
-                }
-                metrics.feedback_latency.record(start.elapsed());
-            }
-            Command::FeedbackMany {
                 mut events,
                 recycle,
             } => {
@@ -498,7 +397,9 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                 }
                 // Hand the buffer back to the client's pool; a full or
                 // disconnected pool just drops it (never block the shard).
-                let _ = recycle.try_send(events);
+                if let Some(recycle) = recycle {
+                    let _ = recycle.try_send(events);
+                }
             }
             Command::Flush { tenant } => {
                 let resident = ensure_resident(&mut tenants, &mut durable, &mut trace, &tenant);

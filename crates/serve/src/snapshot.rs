@@ -5,14 +5,11 @@
 //! set — deliberately **not** the derived CSR snapshot), the policy's learned
 //! state, the RNG state, and the regret accounting. Restoring goes through
 //! [`netband_env::NetworkedBandit::new`], which rebuilds the CSR snapshot —
-//! the same refresh path a `serde`-deserialized environment takes — so a
-//! restored tenant continues bit-identically to the original.
+//! so a restored tenant continues bit-identically to the original.
 //!
-//! The snapshot is an in-memory value (the vendored `serde` shim has no
-//! serializer); the fields mirror the `serde` data model of the underlying
-//! types, so wiring up a real on-disk format is a serializer choice, not a
-//! redesign. Policies are captured as cloned boxes — a wire format would
-//! enumerate the concrete policy types instead.
+//! The snapshot is an in-memory value. Policies are captured as cloned
+//! boxes; the durable store instead persists tenants through the strict
+//! `netband-spec` codec, which enumerates the concrete policy types.
 
 use rand::rngs::StdRng;
 

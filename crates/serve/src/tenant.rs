@@ -585,7 +585,7 @@ impl Tenant {
     }
 
     /// Serves one decision into a freshly allocated reply — the owned-value
-    /// form of [`Tenant::decide_into`] used by the per-call engine API.
+    /// form of [`Tenant::decide_into`] used by WAL replay.
     pub(crate) fn decide(&mut self) -> Result<DecideReply, ServeError> {
         let mut reply = DecideReply::blank();
         self.decide_into(&mut reply, None)?;
@@ -703,7 +703,7 @@ impl Tenant {
 
     /// Rebuilds a tenant from a checkpoint. The environment is reconstructed
     /// through [`NetworkedBandit::new`], which rebuilds the derived CSR
-    /// snapshot — the same refresh path a `serde`-restored instance takes.
+    /// snapshot from the relation graph.
     pub(crate) fn from_snapshot(snapshot: TenantSnapshot) -> Result<Tenant, ServeError> {
         let TenantSnapshot {
             id,

@@ -7,10 +7,8 @@
 //! the same expectation but lower variance and is what the zero-regret property
 //! `R_n / n → 0` is usually checked against.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-round regret record of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegretTrace {
     /// Realised per-round regret: `optimal mean − realised reward` (Equations
     /// 1–4 of the paper, per round). Can be negative in lucky rounds.

@@ -10,13 +10,11 @@
 use std::sync::Mutex;
 use std::thread;
 
-use serde::{Deserialize, Serialize};
-
 use crate::runner::RunResult;
 use crate::stats::{mean_series, std_dev, std_series};
 
 /// Configuration of a replication batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Number of independent replications.
     pub replications: usize,
@@ -79,7 +77,7 @@ impl ReplicationConfig {
 
 /// Point-wise aggregation of the regret traces of many replications of the same
 /// policy.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AveragedRun {
     /// Name of the policy.
     pub policy: String,

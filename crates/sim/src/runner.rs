@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
 use netband_env::feasible::FeasibleSet;
@@ -24,7 +23,7 @@ use crate::regret::RegretTrace;
 use crate::step;
 
 /// Reward model of a single-play run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SingleScenario {
     /// SSO: collect the direct reward, observe the neighbourhood.
     SideObservation,
@@ -33,7 +32,7 @@ pub enum SingleScenario {
 }
 
 /// Reward model of a combinatorial-play run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombinatorialScenario {
     /// CSO: collect the strategy's direct reward, observe `Y_x`.
     SideObservation,
@@ -42,7 +41,7 @@ pub enum CombinatorialScenario {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Name of the policy that produced the run.
     pub policy: String,

@@ -6,12 +6,10 @@
 //! studies (density sweeps, horizon sweeps, arm-count sweeps, …) only supply a
 //! closure from the parameter to an [`AveragedRun`] (or any summary type).
 
-use serde::{Deserialize, Serialize};
-
 use crate::replicate::AveragedRun;
 
 /// One point of a sweep: the parameter value and the summaries produced there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint<P, S> {
     /// The swept parameter value.
     pub parameter: P,
@@ -20,7 +18,7 @@ pub struct SweepPoint<P, S> {
 }
 
 /// The result of sweeping a closure over a list of parameter values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sweep<P, S> {
     /// A short label for reports (e.g. `"edge probability"`).
     pub parameter_name: String,

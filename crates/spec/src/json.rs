@@ -1,8 +1,8 @@
 //! A minimal JSON value, parser, and writer.
 //!
-//! The workspace vendors an API-subset `serde` shim whose derives are no-ops
-//! (see `vendor/README.md`), so spec documents are (de)serialised through this
-//! hand-rolled codec instead. It is deliberately small and strict:
+//! Every document the workspace persists or sends — scenarios, fleets, wire
+//! frames, WAL records, snapshots — is (de)serialised through this
+//! hand-rolled codec. It is deliberately small and strict:
 //!
 //! * numbers keep their **raw lexeme** (`Json::Number` stores the token
 //!   text), so `u64` seeds survive without passing through `f64`, and `f64`
@@ -15,11 +15,20 @@
 //!   the astral-plane character; the writer emits UTF-8 with the mandatory
 //!   escapes only. String round-tripping — including astral-plane and control
 //!   characters — is proptest-pinned, since this codec is also the network
-//!   wire format (`netband-spec::wire`).
+//!   wire format (`netband-spec::wire`);
+//! * arrays and objects nest at most [`MAX_DEPTH`] levels deep, so a hostile
+//!   document (say, a megabyte of `[`) is a parse error rather than a stack
+//!   overflow in the recursive-descent parser.
 
 use std::fmt::Write as _;
 
 use crate::error::SpecError;
+
+/// The deepest array/object nesting [`parse`] accepts. Real documents
+/// (scenarios, fleets, wire frames, WAL records, snapshots) nest fewer than
+/// ten levels; the cap sits far above that and far below what would exhaust
+/// a thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,6 +243,7 @@ pub fn parse(text: &str) -> Result<Json, SpecError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -247,6 +257,8 @@ pub fn parse(text: &str) -> Result<Json, SpecError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -287,8 +299,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, SpecError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.expect_keyword("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.expect_keyword("false").map(|_| Json::Bool(false)),
@@ -297,6 +309,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.error(format!("unexpected character {:?}", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, SpecError>,
+    ) -> Result<Json, SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, SpecError> {
@@ -555,6 +582,24 @@ mod tests {
             parse("1.7976931348623157e308").unwrap().as_f64(),
             Some(f64::MAX)
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        for deep in [
+            nest(MAX_DEPTH + 1),
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "[".repeat(1 << 20),
+        ] {
+            match parse(&deep) {
+                Err(SpecError::Json { message, .. }) => {
+                    assert!(message.contains("nesting"), "{message}")
+                }
+                other => panic!("accepted a document nested past MAX_DEPTH: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use netband_baselines as baselines;
 use netband_core as core_policies;
@@ -40,7 +39,7 @@ pub const SPEC_VERSION: u64 = 1;
 
 /// A relation-graph model (Section II: arms are vertices; an edge means
 /// pulling one arm reveals a side bonus for the other).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GraphSpec {
     /// Erdős–Rényi `G(K, p)` — the paper's Section VII simulation setup
     /// ("arms are uniformly and randomly connected with probability p").
@@ -145,7 +144,7 @@ impl GraphSpec {
 
 /// An arm bank: the reward distribution of every arm (all supported in
 /// `[0, 1]`, the paper's Section II assumption).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArmsSpec {
     /// Explicit Bernoulli arms with the given success probabilities.
     Bernoulli {
@@ -234,7 +233,7 @@ impl ArmsSpec {
 
 /// A feasible strategy family `F` for combinatorial play (Sections IV / VI).
 /// `None` in a [`WorkloadSpec`] means single-play only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FamilySpec {
     /// All non-empty subsets of at most `m` arms — "an advertiser can only
     /// place up to m advertisements on his website" (Section I).
@@ -289,7 +288,7 @@ impl FamilySpec {
 /// The stationary estimator is the plain running mean every DFL policy uses;
 /// the discounted and sliding-window estimators forget old evidence, which is
 /// what lets a policy track the drifting worlds described by [`DriftSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorSpec {
     /// Plain running means over all history (the stationary default).
     Stationary,
@@ -347,7 +346,7 @@ impl EstimatorSpec {
 /// constructible from a variant of this enum; structural inputs (the relation
 /// graph, the strategy family, the arm count) come from the workload at build
 /// time, so a `PolicySpec` carries only the knobs a human would tune.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
     /// DFL-SSO (Algorithm 1): single-play, learns from side observations via
     /// a MOSS-style index over observation counts.
@@ -654,7 +653,7 @@ impl PolicySpec {
 /// Which side bonus neighbours yield (Section II): crossing it with the
 /// policy's play mode selects one of the paper's four scenarios
 /// (SSO / SSR / CSO / CSR).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SideBonus {
     /// Side **observation**: neighbours' samples are revealed, only the pulled
     /// arm's (or strategy's) direct reward is collected (Equations 1–2).
@@ -666,7 +665,7 @@ pub enum SideBonus {
 
 /// When a hosted tenant folds delivered feedback into its estimators — the
 /// serializable counterpart of `netband_serve::FlushPolicy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedbackSpec {
     /// Apply every event as soon as it arrives, and flush before every decide
     /// (the regime under which a single-shard engine reproduces the batch
@@ -700,7 +699,7 @@ impl FeedbackSpec {
 
 /// Gradual sinusoidal mean drift: arm `i`'s mean is offset by
 /// `amplitude · sin(2π · (round/period + i/K))` before clamping to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradualDriftSpec {
     /// Peak mean offset (`|amplitude|` should stay well below 1).
     pub amplitude: f64,
@@ -711,7 +710,7 @@ pub struct GradualDriftSpec {
 /// An abrupt change point: from `round` on, the base mean vector is rotated
 /// by a further `rotation` positions (rotations accumulate across change
 /// points), so the identity of the best arm moves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePointSpec {
     /// First round the rotation applies to.
     pub round: u64,
@@ -721,7 +720,7 @@ pub struct ChangePointSpec {
 
 /// Arm churn: `arm` is dead (mean forced to 0) for every round in
 /// `[from, to)` — e.g. an ad creative paused, a channel jammed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnWindowSpec {
     /// The churned arm.
     pub arm: ArmId,
@@ -739,7 +738,7 @@ pub struct ChurnWindowSpec {
 /// round counter alone pins the mean vector. All three ingredients compose:
 /// change-point rotation is applied first, then gradual drift, then churn,
 /// then the result is clamped to `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriftSpec {
     /// Gradual sinusoidal drift, if any.
     pub gradual: Option<GradualDriftSpec>,
@@ -844,7 +843,7 @@ impl DriftSpec {
 
 /// A complete environment description: graph model, arm bank, optional
 /// feasible family, and the seed that materialises the random parts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The relation-graph model.
     pub graph: GraphSpec,
@@ -940,7 +939,7 @@ impl WorkloadSpec {
 /// simulates it, `netband_serve` hosts it as a tenant, `netband-experiments`
 /// declares its figure grids with it, and `netband-bench` tracks its build
 /// cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Schema version; must equal [`SPEC_VERSION`].
     pub version: u64,
@@ -1051,7 +1050,7 @@ pub struct BuiltScenario {
 // ---------------------------------------------------------------------------
 
 /// One tenant of a serving fleet: an id plus the scenario it hosts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTenant {
     /// Tenant id (routes the tenant to a shard).
     pub id: String,
@@ -1061,7 +1060,7 @@ pub struct FleetTenant {
 
 /// A whole multi-tenant serving fleet declared as one document —
 /// `netband_serve::ServeEngine::register_fleet` boots every tenant from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Schema version; must equal [`SPEC_VERSION`].
     pub version: u64,

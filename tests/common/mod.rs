@@ -246,7 +246,7 @@ impl GoldenTrace {
     }
 }
 
-// ----- minimal JSON field extraction (the workspace vendors no serde_json) ---
+// ----- minimal JSON field extraction for the fixture files ------------------
 
 fn field_start<'a>(text: &'a str, key: &str) -> &'a str {
     let marker = format!("\"{key}\":");

@@ -276,12 +276,14 @@ mod durability {
     }
 
     /// Simulates `kill -9` at a command boundary: waits until everything
-    /// enqueued has been executed (the metrics call is a queue barrier that
-    /// writes nothing durable), then abandons the engine — no shutdown, no
-    /// drain, no final fsync. Threads and file handles are leaked exactly as
-    /// a killed process would leave them.
+    /// enqueued has been executed (the store-metrics call is a queue barrier
+    /// that writes nothing durable — unlike `metrics`, which pages evicted
+    /// tenants in and writes them out again after it has replied), then
+    /// abandons the engine — no shutdown, no drain, no final fsync. Threads
+    /// and file handles are leaked exactly as a killed process would leave
+    /// them.
     fn kill(engine: ServeEngine) {
-        engine.metrics().expect("barrier before the crash");
+        engine.store_metrics().expect("barrier before the crash");
         std::mem::forget(engine);
     }
 
@@ -489,6 +491,121 @@ mod durability {
             }
         }
         assert!(!rehydrated.is_empty(), "no evicted/rehydrated pairs traced");
+        capped.shutdown();
+        reference.shutdown();
+    }
+
+    /// Serves window `w` on both engines: one `decide_many_mixed` over every
+    /// tenant (rotated start, 1–3 decides each), then one `feedback_many` per
+    /// tenant with its echoed events. Every reply must match bit for bit.
+    fn serve_window(capped: &ServeEngine, reference: &ServeEngine, ids: &[String], w: usize) {
+        let window: Vec<(&str, usize)> = (0..ids.len())
+            .map(|k| {
+                let i = (k + w) % ids.len();
+                (ids[i].as_str(), 1 + (i + w) % 3)
+            })
+            .collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        capped
+            .client()
+            .decide_many_mixed(window.iter().copied(), &mut a)
+            .expect("capped window");
+        reference
+            .client()
+            .decide_many_mixed(window.iter().copied(), &mut b)
+            .expect("reference window");
+        assert_eq!(a.len(), b.len());
+        let mut slots = a.into_iter().zip(b);
+        for &(id, n) in &window {
+            let mut events = Vec::with_capacity(n);
+            for (x, y) in slots.by_ref().take(n) {
+                let (x, y) = (x.expect("capped decide"), y.expect("reference decide"));
+                assert_eq!(x.round, y.round, "{id}: round skew in window {w}");
+                assert_eq!(x.decision, y.decision, "{id}: decision diverged");
+                assert_eq!(
+                    x.reward.to_bits(),
+                    y.reward.to_bits(),
+                    "{id}: reward diverged at round {}",
+                    x.round
+                );
+                events.push((x.round, x.feedback.expect("echoed feedback")));
+            }
+            capped
+                .client()
+                .feedback_many(id, events.clone())
+                .expect("capped feedback");
+            reference
+                .client()
+                .feedback_many(id, events)
+                .expect("reference feedback");
+        }
+    }
+
+    /// Windowed traffic on a capped durable engine, killed partway through
+    /// the horizon: mixed decide windows span evicted tenants, so tenants
+    /// are rehydrated partway through a window and the WAL carries
+    /// multi-decide records. After recovery the run finishes, and every
+    /// decision, reward and the final telemetry must match an uncapped
+    /// in-memory engine given the same windows, bit for bit.
+    #[test]
+    fn windowed_durable_serving_recovers_bit_exact_after_a_kill() {
+        const WINDOWS: usize = 16;
+        const KILL_AFTER: usize = 7;
+        let dir = DataDir::new("windows");
+        let config = || {
+            EngineConfig::new(2).with_store(
+                StoreConfig::new(&dir.0)
+                    .with_resident_cap(2)
+                    .with_compact_every(97),
+            )
+        };
+        let reference = ServeEngine::start(EngineConfig::new(2));
+        let capped = ServeEngine::start(config());
+        let specs = golden_specs();
+        let ids: Vec<String> = (0..12).map(|i| format!("tenant-{i:02}")).collect();
+        for (i, id) in ids.iter().enumerate() {
+            let mut spec = specs[i % specs.len()].1.clone();
+            spec.seed = spec.seed.wrapping_add(i as u64);
+            for engine in [&capped, &reference] {
+                engine
+                    .register_tenant_spec(&RegisterTenantSpec::new(id, spec.clone()))
+                    .expect("register from spec");
+            }
+        }
+
+        for w in 0..KILL_AFTER {
+            serve_window(&capped, &reference, &ids, w);
+        }
+        let store = capped
+            .store_metrics()
+            .expect("store metrics")
+            .expect("engine has a store");
+        assert!(
+            store.rehydrations > 0,
+            "no window spanned an evicted tenant"
+        );
+        kill(capped);
+
+        let capped = ServeEngine::try_start(config()).expect("recover from disk");
+        for w in KILL_AFTER..WINDOWS {
+            serve_window(&capped, &reference, &ids, w);
+        }
+        capped.drain().expect("capped drain");
+        reference.drain().expect("reference drain");
+        let ta = capped.telemetry_all().expect("capped telemetry");
+        let tb = reference.telemetry_all().expect("reference telemetry");
+        assert_eq!(ta.len(), ids.len());
+        for (x, y) in ta.iter().zip(&tb) {
+            assert_eq!(x, y, "telemetry diverged for {}", x.id);
+            let bits = |t: &TenantTelemetry| -> Vec<u64> {
+                [t.total_reward, t.optimal_reward]
+                    .into_iter()
+                    .chain(t.arm_means.iter().copied())
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(bits(x), bits(y), "{}: float bits diverged", x.id);
+        }
         capped.shutdown();
         reference.shutdown();
     }
