@@ -20,13 +20,12 @@
 //! per-connection inflight is structurally bounded at one request.
 
 use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 // Relaxed counter bumps only — ordering is irrelevant for monotonic stats.
 use std::sync::atomic::Ordering::Relaxed;
 use std::thread;
-use std::time::Duration;
 
 use netband_serve::api::RegisterTenantSpec;
 use netband_serve::api::{DecideReply, ServeError};
@@ -96,10 +95,6 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept polled on a coarse tick: shutdown needs to stop
-        // the loop without a self-connect trick, and accept latency in the
-        // tens of milliseconds is irrelevant next to connection lifetimes.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ConnectionRegistry::default());
         let stats = Arc::new(NetStats::new());
@@ -146,13 +141,24 @@ impl NetServer {
 
     fn shutdown_in_place(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.accept_handle.take() {
+            // The accept loop blocks in `accept`; one connection wakes it to
+            // see `stop`. A listener bound to the unspecified address is
+            // reached through loopback.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
+            let _ = handle.join();
+        }
         if let Ok(streams) = self.shared.streams.lock() {
             for stream in streams.iter() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-        }
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
         }
         let handlers = {
             let mut guard = self.shared.handlers.lock().expect("handler registry");
@@ -178,32 +184,30 @@ fn accept_loop(
     shared: Arc<ConnectionRegistry>,
     stats: Arc<NetStats>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                stats.connections_accepted.fetch_add(1, Relaxed);
-                if let Ok(mut streams) = shared.streams.lock() {
-                    if let Ok(clone) = stream.try_clone() {
-                        streams.push(clone);
-                    }
-                }
-                let engine = Arc::clone(&engine);
-                let config = config.clone();
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let handle = thread::Builder::new()
-                    .name("netband-net-conn".into())
-                    .spawn(move || connection_loop(stream, &engine, &config, &stop, &stats))
-                    .expect("spawn connection thread");
-                if let Ok(mut handlers) = shared.handlers.lock() {
-                    handlers.push(handle);
-                }
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        // A failed accept (e.g. the peer reset before it completed) costs
+        // only that connection.
+        let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
+        stats.connections_accepted.fetch_add(1, Relaxed);
+        if let Ok(mut streams) = shared.streams.lock() {
+            if let Ok(clone) = stream.try_clone() {
+                streams.push(clone);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
+        }
+        let engine = Arc::clone(&engine);
+        let config = config.clone();
+        let stop = Arc::clone(&stop);
+        let stats = Arc::clone(&stats);
+        let handle = thread::Builder::new()
+            .name("netband-net-conn".into())
+            .spawn(move || connection_loop(stream, &engine, &config, &stop, &stats))
+            .expect("spawn connection thread");
+        if let Ok(mut handlers) = shared.handlers.lock() {
+            handlers.push(handle);
         }
     }
 }
@@ -379,5 +383,47 @@ fn handle_request(
                 WireResponse::Error { code, message }
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::NetClient;
+
+    /// Runs `shutdown` on another thread and fails if it has not returned
+    /// within a generous bound (a wedged accept would hang it forever).
+    fn assert_shutdown_returns(server: NetServer) {
+        let (done, finished) = mpsc::channel();
+        thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns");
+    }
+
+    fn bind() -> NetServer {
+        let engine = Arc::new(ServeEngine::with_shards(1));
+        NetServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind")
+    }
+
+    #[test]
+    fn shutdown_without_a_client_returns() {
+        assert_shutdown_returns(bind());
+    }
+
+    #[test]
+    fn shutdown_after_a_served_connection_returns() {
+        let server = bind();
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.metrics().expect("one served request");
+        // The client stays connected: shutdown must close its stream too.
+        assert_shutdown_returns(server);
+        assert!(client.metrics().is_err(), "the connection was closed");
     }
 }

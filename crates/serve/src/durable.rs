@@ -12,12 +12,12 @@
 //! wiring, exploration constants, strategy family) — it records the tenant's
 //! originating [`ScenarioSpec`] and only the *learned* state on top: the
 //! policy's [`PolicyState`](netband_core::PolicyState) bag, the tenant RNG's
-//! raw words, the regret trace, the pending feedback queue, and the serving
-//! counters. Restoring rebuilds the tenant from the document (the same path
-//! registration took) and loads the learned state into it. This is why a
-//! store-enabled engine rejects tenants that were not built from a scenario
-//! document ([`ServeError::NotPersistable`]): without the document there is
-//! nothing to rebuild from.
+//! raw words, the running reward totals, the pending feedback queue, and the
+//! serving counters. Restoring rebuilds the tenant from the document (the
+//! same path registration took) and loads the learned state into it. This is
+//! why a store-enabled engine rejects tenants that were not built from a
+//! scenario document ([`ServeError::NotPersistable`]): without the document
+//! there is nothing to rebuild from.
 //!
 //! # Capture never flushes
 //!
@@ -32,7 +32,6 @@ use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 
-use netband_sim::regret::RegretTrace;
 use netband_spec::{
     StoredTenantMetrics, StoredTenantSnapshot, WalRecord, WireEvent, STORE_VERSION,
 };
@@ -105,8 +104,6 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
         echo_feedback: t.echo_feedback,
         rng: t.rng.to_state(),
         policy,
-        realised: t.trace.realised().to_vec(),
-        pseudo: t.trace.pseudo().to_vec(),
         pending,
         metrics: StoredTenantMetrics {
             decides: t.metrics.decides,
@@ -136,8 +133,6 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
         echo_feedback,
         rng,
         policy: policy_state,
-        realised,
-        pseudo,
         pending,
         metrics,
     } = stored;
@@ -194,9 +189,6 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
     tenant.round = round;
     tenant.optimal_sum = optimal_sum;
     tenant.total_reward = total_reward;
-    // Lengths were validated against `round` by the document codec, so the
-    // constructor's length panic is unreachable here.
-    tenant.trace = RegretTrace::from_parts(realised, pseudo);
     tenant.metrics = TenantMetrics {
         decides: metrics.decides,
         feedback_events: metrics.feedback_events,

@@ -21,7 +21,7 @@
 //!                                      │
 //!                                      ▼
 //!                    Tenant { policy, environment, RNG, pending feedback,
-//!                             regret trace, metrics }
+//!                             reward totals, metrics }
 //! ```
 //!
 //! Everything is `std`-only (no async runtime — the workspace's vendored

@@ -286,11 +286,13 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                     let resident =
                         ensure_resident(&mut tenants, &mut durable, &mut trace, &request.tenant);
                     let mut served: u64 = 0;
-                    match resident {
-                        Ok(()) if tenants.contains_key(&request.tenant) => {
-                            let tenant = tenants
-                                .get_mut(&request.tenant)
-                                .expect("checked by the guard");
+                    let tenant = resident.and_then(|()| {
+                        tenants
+                            .get_mut(&request.tenant)
+                            .ok_or_else(|| ServeError::UnknownTenant(request.tenant.clone()))
+                    });
+                    match tenant {
+                        Ok(tenant) => {
                             for _ in 0..request.count {
                                 let start = Instant::now();
                                 decides += 1;
@@ -317,11 +319,7 @@ pub(crate) fn shard_loop(commands: Receiver<Command>, trace_capacity: usize, boo
                                 slot += 1;
                             }
                         }
-                        resident => {
-                            let err = match resident {
-                                Err(e) => e,
-                                Ok(()) => ServeError::UnknownTenant(request.tenant.clone()),
-                            };
+                        Err(err) => {
                             for _ in 0..request.count {
                                 let start = Instant::now();
                                 if slot == replies.len() {

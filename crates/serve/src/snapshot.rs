@@ -3,7 +3,7 @@
 //! A [`TenantSnapshot`] captures everything a tenant needs to resume after an
 //! engine restart: the environment's *serialized form* (relation graph + arm
 //! set — deliberately **not** the derived CSR snapshot), the policy's learned
-//! state, the RNG state, and the regret accounting. Restoring goes through
+//! state, the RNG state, and the running reward totals. Restoring goes through
 //! [`netband_env::NetworkedBandit::new`], which rebuilds the CSR snapshot —
 //! so a restored tenant continues bit-identically to the original.
 //!
@@ -15,8 +15,7 @@ use rand::rngs::StdRng;
 
 use netband_env::{ArmSet, DriftSchedule, StrategyFamily};
 use netband_graph::RelationGraph;
-use netband_sim::regret::RegretTrace;
-use netband_sim::{CombinatorialScenario, RunResult, SingleScenario};
+use netband_sim::{CombinatorialScenario, SingleScenario};
 
 use crate::api::{FlushPolicy, TenantId};
 use crate::metrics::TenantMetrics;
@@ -68,15 +67,14 @@ pub struct TenantSnapshot {
     pub(crate) rng: StdRng,
     pub(crate) round: u64,
     pub(crate) optimal: f64,
-    /// Running sum of the per-round dynamic optima (drifting tenants only;
-    /// stays 0 for stationary tenants, whose benchmark is `optimal`).
+    /// Running sum of the per-round optima (the dynamic optima when the
+    /// tenant drifts).
     pub(crate) optimal_sum: f64,
     /// The tenant's drift schedule, if it hosts a drifting world. Drift is a
     /// pure function of the round counter, so the schedule plus `round` is
     /// all a restore needs to continue the drifting means bit-exactly.
     pub(crate) drift: Option<DriftSchedule>,
     pub(crate) total_reward: f64,
-    pub(crate) trace: RegretTrace,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
     pub(crate) echo_feedback: bool,
@@ -109,30 +107,6 @@ impl TenantSnapshot {
     /// The tenant's serving metrics at snapshot time.
     pub fn metrics(&self) -> &TenantMetrics {
         &self.metrics
-    }
-
-    /// The tenant's run so far, in the simulation engine's result format —
-    /// the bridge the golden-trace equivalence suite compares through.
-    pub fn run_result(&self) -> RunResult {
-        // Drifting tenants report the horizon average of the per-round
-        // dynamic optima — the same expression as the drifted simulation
-        // runners, so the two results compare bit-for-bit.
-        let optimal_mean = if self.drift.is_some() {
-            if self.round == 0 {
-                0.0
-            } else {
-                self.optimal_sum / self.round as f64
-            }
-        } else {
-            self.optimal
-        };
-        RunResult {
-            policy: self.policy_name().to_owned(),
-            horizon: self.round as usize,
-            optimal_mean,
-            total_reward: self.total_reward,
-            trace: self.trace.clone(),
-        }
     }
 }
 
@@ -180,10 +154,6 @@ mod tests {
         assert_eq!(snap.round(), 20);
         assert_eq!(snap.policy_name(), "DFL-SSO");
         assert_eq!(snap.metrics().decides, 20);
-        let result = snap.run_result();
-        assert_eq!(result.horizon, 20);
-        assert_eq!(result.trace.len(), 20);
-        assert_eq!(result.policy, "DFL-SSO");
         let debug = format!("{snap:?}");
         assert!(
             debug.contains("exp") && debug.contains("DFL-SSO"),

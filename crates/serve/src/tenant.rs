@@ -4,9 +4,10 @@
 //! [`CombinatorialPolicy`] implementation), a [`NetworkedBandit`] environment,
 //! and the serving bookkeeping: a seeded RNG, the PR-2 scratch buffers that
 //! make a decide allocation-free, a pending [`FeedbackBatch`] for delayed
-//! feedback, regret accounting identical to the batch simulation, and
-//! per-tenant metrics. Tenants are plain data owned by exactly one shard
-//! thread — all concurrency lives a level up, in the shard command loop.
+//! feedback, running reward and benchmark totals (the regret proxy, summed
+//! in the batch simulation's order), and per-tenant metrics. Tenants are
+//! plain data owned by exactly one shard thread — all concurrency lives a
+//! level up, in the shard command loop.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +15,6 @@ use rand::SeedableRng;
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
 use netband_env::feasible::FeasibleSet;
 use netband_env::{DriftSchedule, FeedbackBatch, NetworkedBandit, PullBuffer, StrategyFamily};
-use netband_sim::regret::RegretTrace;
 use netband_sim::step;
 use netband_sim::{CombinatorialScenario, SingleScenario};
 
@@ -334,7 +334,7 @@ pub(crate) struct Tenant {
     /// matching the simulation runner's time slots).
     pub(crate) round: u64,
     pub(crate) optimal: f64,
-    /// Running sum of per-round dynamic optima (drifting tenants only).
+    /// Running sum of per-round optima (the dynamic optima when drifting).
     pub(crate) optimal_sum: f64,
     /// Drift schedule of the hosted world, `None` for stationary tenants
     /// (trivial schedules are dropped in [`Tenant::new`]).
@@ -345,7 +345,6 @@ pub(crate) struct Tenant {
     /// Per-decide scratch for the drifted mean vector.
     pub(crate) drift_means: Vec<f64>,
     pub(crate) total_reward: f64,
-    pub(crate) trace: RegretTrace,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
     pub(crate) echo_feedback: bool,
@@ -423,7 +422,6 @@ impl Tenant {
             base_means,
             drift_means,
             total_reward: 0.0,
-            trace: RegretTrace::with_capacity(0),
             flush,
             auto_feedback,
             echo_feedback,
@@ -433,9 +431,9 @@ impl Tenant {
     }
 
     /// Serves one decision into a caller-owned reply slot. The per-round
-    /// arithmetic (pull, reward, regret record, optional immediate update)
+    /// arithmetic (pull, reward, running totals, optional immediate update)
     /// matches the batch runner expression for expression, which is what the
-    /// golden-trace equivalence suite pins.
+    /// golden-trace equivalence suite pins through the echoed replies.
     ///
     /// Every field of `reply` is overwritten; a warm slot (same play mode,
     /// echo setting, and similar observation sizes as the previous occupant)
@@ -489,14 +487,13 @@ impl Tenant {
                     self.buf.pull_single(&self.bandit, arm, &mut self.rng)
                 };
                 lap(&mut stages, DecideStage::Pull);
-                let (reward, mean) = if drifting {
+                let (reward, _mean) = if drifting {
                     step::score_single_with(&self.bandit, &self.drift_means, *scenario, feedback)
                 } else {
                     step::score_single(&self.bandit, *scenario, feedback)
                 };
                 self.total_reward += reward;
                 self.optimal_sum += optimal;
-                self.trace.record(optimal - reward, optimal - mean);
                 if auto {
                     policy.update(t, feedback);
                 }
@@ -551,20 +548,19 @@ impl Tenant {
                     Ok(fb) => fb,
                     Err(e) => {
                         // The decision never happened; un-advance the round
-                        // so the counter keeps matching the trace length.
+                        // so it is not counted as served.
                         self.round -= 1;
                         return Err(ServeError::Env(e));
                     }
                 };
                 lap(&mut stages, DecideStage::Pull);
-                let (reward, mean) = if drifting {
+                let (reward, _mean) = if drifting {
                     step::score_combinatorial_with(&self.drift_means, *scenario, feedback)
                 } else {
                     step::score_combinatorial(&self.bandit, *scenario, feedback)
                 };
                 self.total_reward += reward;
                 self.optimal_sum += optimal;
-                self.trace.record(optimal - reward, optimal - mean);
                 if auto {
                     policy.update(t, feedback);
                 }
@@ -692,7 +688,6 @@ impl Tenant {
             optimal_sum: self.optimal_sum,
             drift: self.drift.clone(),
             total_reward: self.total_reward,
-            trace: self.trace.clone(),
             flush: self.flush,
             auto_feedback: self.auto_feedback,
             echo_feedback: self.echo_feedback,
@@ -716,7 +711,6 @@ impl Tenant {
             optimal_sum,
             drift,
             total_reward,
-            trace,
             flush,
             auto_feedback,
             echo_feedback,
@@ -764,7 +758,6 @@ impl Tenant {
             base_means,
             drift_means,
             total_reward,
-            trace,
             flush,
             auto_feedback,
             echo_feedback,
@@ -815,7 +808,7 @@ mod tests {
     use netband_core::{DflCsr, DflSso};
     use netband_env::ArmSet;
     use netband_graph::generators;
-    use netband_sim::{run_single, SingleScenario};
+    use netband_sim::{run_single, RegretTrace, SingleScenario};
 
     fn fixture_bandit(seed: u64) -> NetworkedBandit {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -830,6 +823,33 @@ mod tests {
         TenantSpec::single(id, bandit, policy, SingleScenario::SideObservation, seed)
     }
 
+    /// Rebuilds one round's `(optimal − reward, optimal − mean)` regret of a
+    /// `single_spec` tenant from its echoed reply, with the scoring calls the
+    /// tenant and the batch runner share.
+    fn round_regret(drift: Option<&DriftSchedule>, reply: &DecideReply) -> (f64, f64) {
+        let bandit = fixture_bandit(3);
+        let scenario = SingleScenario::SideObservation;
+        let Some(FeedbackEvent::Single(feedback)) = &reply.feedback else {
+            panic!("single-play tenants echo single-play feedback");
+        };
+        let (optimal, (reward, mean)) = match drift {
+            Some(schedule) => {
+                let mut means = vec![0.0; bandit.num_arms()];
+                schedule.means_at(bandit.means(), reply.round, &mut means);
+                (
+                    step::single_benchmark_with(&bandit, &means, scenario),
+                    step::score_single_with(&bandit, &means, scenario, feedback),
+                )
+            }
+            None => (
+                step::single_benchmark(&bandit, scenario),
+                step::score_single(&bandit, scenario, feedback),
+            ),
+        };
+        assert_eq!(reward.to_bits(), reply.reward.to_bits());
+        (optimal - reward, optimal - mean)
+    }
+
     #[test]
     fn auto_feedback_tenant_matches_run_single_exactly() {
         let bandit = fixture_bandit(3);
@@ -842,21 +862,18 @@ mod tests {
             77,
         );
 
-        let mut tenant = Tenant::new(
-            single_spec("t", 77)
-                .with_auto_feedback(true)
-                .with_echo_feedback(false),
-        )
-        .unwrap();
+        let mut tenant = Tenant::new(single_spec("t", 77).with_auto_feedback(true)).unwrap();
+        let mut trace = RegretTrace::default();
         for _ in 0..200 {
-            tenant.decide().unwrap();
+            let (realised, pseudo) = round_regret(None, &tenant.decide().unwrap());
+            trace.record(realised, pseudo);
         }
         assert_eq!(tenant.round, 200);
         assert_eq!(
             tenant.total_reward.to_bits(),
             expected.total_reward.to_bits()
         );
-        assert_eq!(tenant.trace, expected.trace);
+        assert_eq!(trace, expected.trace);
         assert_eq!(tenant.optimal.to_bits(), expected.optimal_mean.to_bits());
     }
 
@@ -865,11 +882,11 @@ mod tests {
         let mut auto = Tenant::new(single_spec("a", 5).with_auto_feedback(true)).unwrap();
         let mut echo = Tenant::new(single_spec("b", 5)).unwrap();
         for _ in 0..100 {
-            auto.decide().unwrap();
             let reply = echo.decide().unwrap();
+            assert_eq!(auto.decide().unwrap(), reply);
             echo.feedback(reply.round, reply.feedback.unwrap()).unwrap();
         }
-        assert_eq!(auto.trace, echo.trace);
+        assert_eq!(auto.total_reward.to_bits(), echo.total_reward.to_bits());
         assert_eq!(auto.metrics.decides, echo.metrics.decides);
         assert_eq!(echo.metrics.feedback_events, 100);
         assert_eq!(echo.metrics.events_applied, 100);
@@ -982,22 +999,22 @@ mod tests {
 
         let mut tenant = Tenant::new(
             single_spec("t", 77)
-                .with_drift(drift)
-                .with_auto_feedback(true)
-                .with_echo_feedback(false),
+                .with_drift(drift.clone())
+                .with_auto_feedback(true),
         )
         .unwrap();
+        let mut trace = RegretTrace::default();
         for _ in 0..200 {
-            tenant.decide().unwrap();
+            let (realised, pseudo) = round_regret(Some(&drift), &tenant.decide().unwrap());
+            trace.record(realised, pseudo);
         }
-        let result = tenant.snapshot().run_result();
-        assert_eq!(result.trace, expected.trace);
+        assert_eq!(trace, expected.trace);
         assert_eq!(
-            result.total_reward.to_bits(),
+            tenant.total_reward.to_bits(),
             expected.total_reward.to_bits()
         );
         assert_eq!(
-            result.optimal_mean.to_bits(),
+            (tenant.optimal_sum / 200.0).to_bits(),
             expected.optimal_mean.to_bits()
         );
     }
@@ -1058,10 +1075,8 @@ mod tests {
             let b = trivial.decide().unwrap();
             assert_eq!(a, b);
         }
-        assert_eq!(
-            plain.snapshot().run_result(),
-            trivial.snapshot().run_result()
-        );
+        assert_eq!(plain.total_reward.to_bits(), trivial.total_reward.to_bits());
+        assert_eq!(plain.optimal_sum.to_bits(), trivial.optimal_sum.to_bits());
     }
 
     #[test]

@@ -27,22 +27,6 @@ impl RegretTrace {
         }
     }
 
-    /// Reassembles a trace from its per-round components (the inverse of
-    /// [`RegretTrace::realised`] / [`RegretTrace::pseudo`]), used when
-    /// restoring a persisted run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors have different lengths.
-    pub fn from_parts(realised: Vec<f64>, pseudo: Vec<f64>) -> Self {
-        assert_eq!(
-            realised.len(),
-            pseudo.len(),
-            "realised/pseudo per-round lengths must match"
-        );
-        RegretTrace { realised, pseudo }
-    }
-
     /// Records one round.
     pub fn record(&mut self, realised: f64, pseudo: f64) {
         self.realised.push(realised);
@@ -162,21 +146,6 @@ mod tests {
         assert_eq!(trace.total(), 1.0);
         assert_eq!(trace.total_pseudo(), 1.0);
         assert_eq!(trace.final_average(), 0.25);
-    }
-
-    #[test]
-    fn from_parts_is_the_inverse_of_the_accessors() {
-        let mut trace = RegretTrace::default();
-        trace.record(0.25, 0.5);
-        trace.record(-0.125, 0.0);
-        let rebuilt = RegretTrace::from_parts(trace.realised().to_vec(), trace.pseudo().to_vec());
-        assert_eq!(rebuilt, trace);
-    }
-
-    #[test]
-    #[should_panic(expected = "lengths must match")]
-    fn from_parts_rejects_mismatched_lengths() {
-        let _ = RegretTrace::from_parts(vec![0.0], vec![]);
     }
 
     #[test]

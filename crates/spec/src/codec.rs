@@ -96,6 +96,13 @@ pub(crate) fn get_f64(value: &Json, ctx: &'static str) -> Result<f64, SpecError>
     })
 }
 
+pub(crate) fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
+    value.as_bool().ok_or(SpecError::Invalid {
+        context: ctx,
+        message: format!("expected a boolean, got {}", value.to_text()),
+    })
+}
+
 pub(crate) fn get_str<'a>(value: &'a Json, ctx: &'static str) -> Result<&'a str, SpecError> {
     value.as_str().ok_or(SpecError::Invalid {
         context: ctx,
@@ -123,7 +130,7 @@ fn get_pairs_f64(value: &Json, ctx: &'static str) -> Result<Vec<(f64, f64)>, Spe
         .collect()
 }
 
-fn get_f64_array(value: &Json, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
+pub(crate) fn get_f64_array(value: &Json, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
     let items = value.as_array().ok_or(SpecError::Invalid {
         context: ctx,
         message: "expected an array of numbers".into(),

@@ -244,6 +244,7 @@ pub fn parse(text: &str) -> Result<Json, SpecError> {
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
+        key_order: Vec::new(),
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -259,6 +260,9 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays/objects currently open around `pos`.
     depth: usize,
+    /// Scratch for the duplicate-key check: field indices of the object
+    /// just closed, sorted by key.
+    key_order: Vec<usize>,
 }
 
 impl<'a> Parser<'a> {
@@ -337,9 +341,6 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_whitespace();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| k == &key) {
-                return Err(self.error(format!("duplicate object key {key:?}")));
-            }
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
@@ -350,10 +351,32 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.reject_duplicate_keys(&fields)?;
                     return Ok(Json::Object(fields));
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
+        }
+    }
+
+    /// Rejects an object that repeats a key. Sorting the keys makes the
+    /// check O(n log n), so a hostile object with many keys costs no more
+    /// than parsing it.
+    fn reject_duplicate_keys(&mut self, fields: &[(String, Json)]) -> Result<(), SpecError> {
+        self.key_order.clear();
+        self.key_order.extend(0..fields.len());
+        self.key_order
+            .sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
+        match self
+            .key_order
+            .windows(2)
+            .find(|pair| fields[pair[0]].0 == fields[pair[1]].0)
+        {
+            Some(pair) => {
+                let key = &fields[pair[0]].0;
+                Err(self.error(format!("duplicate object key {key:?}")))
+            }
+            None => Ok(()),
         }
     }
 

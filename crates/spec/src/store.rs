@@ -10,7 +10,7 @@
 //!   keys, and unsupported `version` numbers are hard errors, so a corrupted
 //!   or future-format file fails loudly instead of half-restoring a tenant;
 //! * **numeric exactness** — every `f64` (estimator means, window rings,
-//!   regret traces, reward sums) travels as a shortest round-trip lexeme
+//!   reward sums) travels as a shortest round-trip lexeme
 //!   ([`Json::from_f64`]) and re-parses bit-identically, which is what lets
 //!   crash recovery resume the exact learning trajectory;
 //! * **no new dependencies** — the hand-rolled [`crate::json`] codec over
@@ -36,7 +36,8 @@
 use netband_core::PolicyState;
 
 use crate::codec::{
-    get_f64, get_str, get_u64, scenario_from_json, scenario_to_json, tag_of, tagged, Obj,
+    get_bool, get_f64, get_f64_array, get_str, get_u64, scenario_from_json, scenario_to_json,
+    tag_of, tagged, Obj,
 };
 use crate::error::SpecError;
 use crate::json::{parse, Json};
@@ -46,7 +47,7 @@ use crate::wire::{event_from_json, event_to_json, WireEvent};
 /// Version stamp of the durable-state document format. Bump when a field
 /// changes meaning; decoding any other version is a hard error
 /// ([`SpecError::UnsupportedVersion`]), never a silent best-effort read.
-pub const STORE_VERSION: u64 = 1;
+pub const STORE_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // model types
@@ -100,10 +101,6 @@ pub struct StoredTenantSnapshot {
     pub rng: [u64; 4],
     /// The hosted policy's learned state (estimator arrays, policy RNG, …).
     pub policy: PolicyState,
-    /// Per-round realised regret, one entry per served round.
-    pub realised: Vec<f64>,
-    /// Per-round pseudo-regret, one entry per served round.
-    pub pseudo: Vec<f64>,
     /// Feedback events queued but not yet flushed, in **arrival order** (the
     /// order that, re-queued on restore, reproduces the eventual flush's
     /// stable sort exactly).
@@ -199,13 +196,6 @@ pub enum WalRecord {
 // scalar helpers on top of the codec's strict-object reader
 // ---------------------------------------------------------------------------
 
-fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
-    value.as_bool().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a boolean, got {}", value.to_text()),
-    })
-}
-
 fn u64_array_json(values: &[u64]) -> Json {
     Json::Array(values.iter().map(|&v| Json::from_u64(v)).collect())
 }
@@ -220,14 +210,6 @@ fn get_u64_array(value: &Json, ctx: &'static str) -> Result<Vec<u64>, SpecError>
         message: "expected an array of non-negative integers".into(),
     })?;
     items.iter().map(|item| get_u64(item, ctx)).collect()
-}
-
-fn get_f64_array(value: &Json, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of numbers".into(),
-    })?;
-    items.iter().map(|item| get_f64(item, ctx)).collect()
 }
 
 fn nested_u64_json(rows: &[Vec<u64>]) -> Json {
@@ -371,8 +353,6 @@ pub fn snapshot_to_json(snapshot: &StoredTenantSnapshot) -> Json {
         ("echo_feedback".into(), Json::Bool(snapshot.echo_feedback)),
         ("rng".into(), rng_json(&snapshot.rng)),
         ("policy".into(), policy_state_to_json(&snapshot.policy)),
-        ("realised".into(), f64_array_json(&snapshot.realised)),
-        ("pseudo".into(), f64_array_json(&snapshot.pseudo)),
         (
             "pending".into(),
             Json::Array(
@@ -393,11 +373,9 @@ pub fn snapshot_to_json(snapshot: &StoredTenantSnapshot) -> Json {
 }
 
 /// Decodes one tenant's durable state (strict). Beyond schema checks, the
-/// cross-field invariants a well-formed snapshot always satisfies are
-/// enforced here, so silent corruption that survives the CRC (e.g. a
-/// truncated trace array inside an otherwise valid document) still fails
-/// loudly: the regret trace must hold exactly one entry per served round,
-/// and every pending event must quote a served round.
+/// cross-field invariant a well-formed snapshot always satisfies is enforced
+/// here, so silent corruption that survives the CRC still fails loudly:
+/// every pending event must quote a served round.
 pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecError> {
     const CTX: &str = "StoredTenantSnapshot";
     let mut obj = Obj::new(value, CTX)?;
@@ -422,8 +400,6 @@ pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecErro
         echo_feedback: get_bool(obj.req("echo_feedback")?, CTX)?,
         rng: get_rng(obj.req("rng")?, CTX)?,
         policy: policy_state_from_json(obj.req("policy")?)?,
-        realised: get_f64_array(obj.req("realised")?, CTX)?,
-        pseudo: get_f64_array(obj.req("pseudo")?, CTX)?,
         pending: {
             let items = obj.req("pending")?.as_array().ok_or(SpecError::Invalid {
                 context: CTX,
@@ -443,21 +419,6 @@ pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecErro
         metrics: metrics_from_json(obj.req("metrics")?)?,
     };
     obj.finish()?;
-    let served = usize::try_from(snapshot.round).map_err(|_| SpecError::Invalid {
-        context: CTX,
-        message: format!("round {} exceeds the platform's usize", snapshot.round),
-    })?;
-    if snapshot.realised.len() != served || snapshot.pseudo.len() != served {
-        return Err(SpecError::Invalid {
-            context: CTX,
-            message: format!(
-                "regret trace holds {} realised / {} pseudo entries for {} served rounds",
-                snapshot.realised.len(),
-                snapshot.pseudo.len(),
-                snapshot.round
-            ),
-        });
-    }
     for &(round, _) in &snapshot.pending {
         if round == 0 || round > snapshot.round {
             return Err(SpecError::Invalid {
@@ -721,8 +682,6 @@ mod tests {
             echo_feedback: true,
             rng: [9, 8, 7, 6],
             policy,
-            realised: vec![0.5, -0.25, 0.0, 1.0 / 3.0],
-            pseudo: vec![0.5, 0.5, 0.0, 0.0],
             pending: vec![(3, sample_event(1, 1.0)), (1, sample_event(0, 0.0))],
             metrics: StoredTenantMetrics {
                 decides: 4,
@@ -744,7 +703,6 @@ mod tests {
         assert_eq!(back.to_json_text(), text);
         // The floats survive bit-for-bit, not just approximately.
         assert_eq!(back.total_reward.to_bits(), snapshot.total_reward.to_bits());
-        assert_eq!(back.realised[3].to_bits(), snapshot.realised[3].to_bits());
         assert_eq!(
             back.policy.floats[0][0].to_bits(),
             snapshot.policy.floats[0][0].to_bits()
@@ -852,17 +810,34 @@ mod tests {
         }
     }
 
+    /// Version 1 documents carried the per-round regret trace (`realised`,
+    /// `pseudo`). Version 2 dropped it, so a v1 file must be refused by the
+    /// version gate, never half-read.
     #[test]
-    fn trace_length_mismatches_are_rejected() {
-        // A trace array shorter than the served-round counter is corruption
-        // even when the document is schema-valid.
-        let mut snapshot = sample_snapshot();
-        snapshot.realised.pop();
-        let err = StoredTenantSnapshot::from_json_text(&snapshot.to_json_text()).unwrap_err();
-        assert!(err.to_string().contains("regret trace"), "{err}");
-        let mut snapshot = sample_snapshot();
-        snapshot.pseudo.push(0.0);
-        assert!(StoredTenantSnapshot::from_json_text(&snapshot.to_json_text()).is_err());
+    fn version_one_documents_with_a_regret_trace_are_refused() {
+        let v2 = sample_snapshot().to_json_text();
+        let v1 = v2.replacen("\"version\":2,", "\"version\":1,", 1).replacen(
+            "\"pending\":",
+            "\"realised\":[0.5,-0.25,0,0.1],\"pseudo\":[0.5,0.5,0,0],\"pending\":",
+            1,
+        );
+        assert!(v1.contains("\"version\":1,") && v1.contains("\"realised\":"));
+        let err = StoredTenantSnapshot::from_json_text(&v1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "{err}"
+        );
+        let shard = format!("{{\"version\":1,\"epoch\":3,\"tenants\":[{v1}]}}");
+        assert!(matches!(
+            ShardSnapshot::from_json_text(&shard).unwrap_err(),
+            SpecError::UnsupportedVersion { found: 1, .. }
+        ));
     }
 
     #[test]
@@ -937,7 +912,7 @@ mod tests {
             policy_rng in arb_rng_words(),
             counts in proptest::collection::vec(0u64..=u64::MAX, 0..8),
             floats in proptest::collection::vec(arb_finite_f64(), 0..8),
-            trace in proptest::collection::vec((arb_finite_f64(), arb_finite_f64()), 0..8),
+            round in 0u64..=u64::MAX,
             totals in (arb_finite_f64(), arb_finite_f64()),
         ) {
             let mut policy = PolicyState::new();
@@ -948,7 +923,7 @@ mod tests {
                 version: STORE_VERSION,
                 id: "prop".into(),
                 scenario: Box::new(sample_scenario()),
-                round: trace.len() as u64,
+                round,
                 optimal_sum: totals.0,
                 total_reward: totals.1,
                 flush_max_pending: 1,
@@ -957,8 +932,6 @@ mod tests {
                 echo_feedback: true,
                 rng: rng_words,
                 policy,
-                realised: trace.iter().map(|&(r, _)| r).collect(),
-                pseudo: trace.iter().map(|&(_, p)| p).collect(),
                 pending: Vec::new(),
                 metrics: StoredTenantMetrics::default(),
             };

@@ -34,7 +34,8 @@
 use netband_env::{CombinatorialFeedback, SinglePlayFeedback};
 
 use crate::codec::{
-    get_f64, get_str, get_u64, get_usize, scenario_from_json, scenario_to_json, tag_of, tagged, Obj,
+    get_bool, get_f64, get_str, get_u64, get_usize, scenario_from_json, scenario_to_json, tag_of,
+    tagged, Obj,
 };
 use crate::error::SpecError;
 use crate::json::{parse, Json};
@@ -337,13 +338,6 @@ fn get_u32(value: &Json, ctx: &'static str) -> Result<u32, SpecError> {
     u32::try_from(v).map_err(|_| SpecError::Invalid {
         context: ctx,
         message: format!("{v} does not fit in u32"),
-    })
-}
-
-fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
-    value.as_bool().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a boolean, got {}", value.to_text()),
     })
 }
 

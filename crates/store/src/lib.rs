@@ -1,7 +1,7 @@
 //! # netband-store — durable tenant state for the serving engine
 //!
 //! The serving engine ([`netband-serve`]) keeps every tenant's learning state
-//! — estimator arrays, RNG words, pending feedback, regret traces — in RAM.
+//! — estimator arrays, RNG words, pending feedback, reward totals — in RAM.
 //! This crate gives each engine shard a durable twin of that state, built
 //! from three pieces:
 //!

@@ -81,8 +81,6 @@ fn tenant_snapshot(id: &str, round: u64) -> StoredTenantSnapshot {
         echo_feedback: true,
         rng: [round, 2, 3, 4],
         policy: Default::default(),
-        realised: vec![0.125; round as usize],
-        pseudo: vec![0.25; round as usize],
         pending: Vec::new(),
         metrics: StoredTenantMetrics::default(),
     }
@@ -298,6 +296,36 @@ fn interrupted_snapshot_tmp_files_are_swept() {
     assert_eq!(store.epoch(), 0);
     assert_eq!(recovery.records.len(), 1);
     assert!(!tmp.exists());
+}
+
+/// A stored tenant is constant-size: nothing in the durable format grows
+/// with the rounds served, so a tenant 8192 rounds old writes an evict file
+/// within a few bytes (the wider round counters) of one 512 rounds old.
+#[test]
+fn stored_tenants_do_not_grow_with_their_age() {
+    let scratch = Scratch::new("age");
+    let (mut store, _) = ShardStore::open(&scratch.config(), 0).unwrap();
+    let mut evict_file_bytes = |round: u64| {
+        let snapshot = tenant_snapshot("aged", round);
+        store.write_evicted(&snapshot).unwrap();
+        let entry = scratch
+            .shard_dir(0)
+            .read_dir()
+            .unwrap()
+            .filter_map(Result::ok)
+            .find(|e| e.file_name().to_string_lossy().starts_with("evict-"))
+            .expect("evict file written");
+        let bytes = entry.metadata().unwrap().len();
+        assert_eq!(bytes, snapshot.to_json_text().len() as u64);
+        store.read_evicted("aged").unwrap();
+        bytes
+    };
+    let young = evict_file_bytes(512);
+    let old = evict_file_bytes(8192);
+    assert!(
+        old.abs_diff(young) < 1024,
+        "a stored tenant grew from {young} to {old} bytes between rounds 512 and 8192"
+    );
 }
 
 #[test]

@@ -107,17 +107,17 @@ fn main() {
         );
     }
 
-    // A few per-tenant rows: time-averaged regret after the served rounds.
+    // A few per-tenant rows: time-averaged regret proxy after the served
+    // rounds.
     println!("\nsample of hosted experiments:");
     for (id, metrics) in report.tenants.iter().step_by(5) {
-        let snapshot = engine.snapshot_tenant(id).expect("snapshot");
-        let result = snapshot.run_result();
+        let telemetry = engine.telemetry(id).expect("telemetry");
         println!(
             "  {id}: {} decides, mean batch {:.1}, avg regret {:.3} ({})",
             metrics.decides,
             metrics.mean_batch(),
-            result.average_regret(),
-            snapshot.policy_name(),
+            average_regret(&telemetry),
+            telemetry.policy,
         );
     }
 
@@ -131,12 +131,17 @@ fn main() {
     drive(&mut resumed_client, &first, rounds);
     drop(resumed_client);
     second.drain().expect("drain");
-    let resumed = second.evict_tenant(&first).expect("evict");
+    let resumed = second.telemetry(&first).expect("telemetry");
     println!(
         "\n{first} checkpointed at round {rounds}, restored on a fresh engine, now at round {} \
          (avg regret {:.3})",
-        resumed.round(),
-        resumed.run_result().average_regret()
+        resumed.round,
+        average_regret(&resumed)
     );
     second.shutdown();
+}
+
+/// The tenant's regret proxy per served round (0 before its first decide).
+fn average_regret(telemetry: &TenantTelemetry) -> f64 {
+    telemetry.regret() / telemetry.round.max(1) as f64
 }

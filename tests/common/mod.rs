@@ -10,8 +10,12 @@
 //!   immediate per-decide feedback must reproduce the *same* fixtures, proving
 //!   the serving subsystem is the same math as the simulator.
 //!
+//! A serving tenant keeps only running totals, so the serve, net, spec and
+//! crash-matrix suites rebuild the per-round trace from the replies they
+//! receive with a [`RegretRecorder`].
+//!
 //! Keeping the fixture instance, the JSON codec, and the comparison in one
-//! module guarantees both suites pin the same contract.
+//! module guarantees every suite pins the same contract.
 
 // Each integration-test binary compiles this module independently and uses a
 // different subset of it.
@@ -20,7 +24,9 @@
 use std::fs;
 use std::path::PathBuf;
 
+use netband::env::DriftSchedule;
 use netband::prelude::*;
+use netband::sim::{step, RegretTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -185,6 +191,182 @@ pub fn drift_scenario() -> ScenarioSpec {
         .unwrap_or_else(|e| panic!("drift scenario document no longer parses: {e}"));
     assert_eq!(spec.horizon, DRIFT_HORIZON, "drift fixture horizon drifted");
     spec
+}
+
+// ----- per-round regret of a served tenant ----------------------------------
+
+/// Play mode and reward model of a recorded tenant.
+enum Play {
+    Single(SingleScenario),
+    Combinatorial(StrategyFamily, CombinatorialScenario),
+}
+
+/// Rebuilds a served tenant's per-round regret from the replies it echoed.
+///
+/// Each round's `(optimal − reward, optimal − mean)` is a pure function of
+/// the reply's feedback and the round's (possibly drifting) optimum. The
+/// recorder scores the feedback with the same `netband_sim::step` calls the
+/// tenant and the batch runner make, so its trace and totals compare bit for
+/// bit with the committed fixtures. Replies must be recorded in round order.
+pub struct RegretRecorder {
+    policy: String,
+    bandit: NetworkedBandit,
+    play: Play,
+    /// Non-trivial drift schedule (trivial ones are dropped, as the tenant
+    /// drops them) and the scratch its drifted means are written into.
+    drift: Option<DriftSchedule>,
+    means: Vec<f64>,
+    optimal: f64,
+    optimal_sum: f64,
+    total_reward: f64,
+    trace: RegretTrace,
+}
+
+impl RegretRecorder {
+    fn new(policy: &str, bandit: NetworkedBandit, play: Play) -> Self {
+        let optimal = match &play {
+            Play::Single(scenario) => step::single_benchmark(&bandit, *scenario),
+            Play::Combinatorial(family, scenario) => {
+                step::combinatorial_benchmark(&bandit, family, *scenario)
+            }
+        };
+        RegretRecorder {
+            policy: policy.to_owned(),
+            means: vec![0.0; bandit.num_arms()],
+            bandit,
+            play,
+            drift: None,
+            optimal,
+            optimal_sum: 0.0,
+            total_reward: 0.0,
+            trace: RegretTrace::default(),
+        }
+    }
+
+    /// A recorder for a single-play tenant running `policy`.
+    pub fn single(policy: &str, bandit: NetworkedBandit, scenario: SingleScenario) -> Self {
+        Self::new(policy, bandit, Play::Single(scenario))
+    }
+
+    /// A recorder for a combinatorial tenant running `policy`.
+    pub fn combinatorial(
+        policy: &str,
+        bandit: NetworkedBandit,
+        family: StrategyFamily,
+        scenario: CombinatorialScenario,
+    ) -> Self {
+        Self::new(policy, bandit, Play::Combinatorial(family, scenario))
+    }
+
+    /// A recorder for a tenant registered from `spec`, drift included.
+    pub fn from_scenario(spec: &ScenarioSpec) -> Self {
+        let built = spec.build().expect("scenario builds");
+        let play = match built.family {
+            Some(family) => Play::Combinatorial(
+                family,
+                netband::sim::spec::combinatorial_scenario(built.side_bonus),
+            ),
+            None => Play::Single(netband::sim::spec::single_scenario(built.side_bonus)),
+        };
+        let mut recorder = Self::new(built.policy.name(), built.bandit, play);
+        recorder.drift = built.drift.filter(|d| !d.is_trivial());
+        recorder
+    }
+
+    /// Records one served round from its reward and echoed feedback.
+    pub fn record(&mut self, round: u64, reward: f64, event: &FeedbackEvent) {
+        assert_eq!(
+            round,
+            self.trace.len() as u64 + 1,
+            "replies must be recorded in round order"
+        );
+        if let Some(schedule) = &self.drift {
+            schedule.means_at(self.bandit.means(), round, &mut self.means);
+        }
+        let drifting = self.drift.is_some();
+        let (optimal, (scored, mean)) = match (&self.play, event) {
+            (Play::Single(scenario), FeedbackEvent::Single(fb)) if drifting => (
+                step::single_benchmark_with(&self.bandit, &self.means, *scenario),
+                step::score_single_with(&self.bandit, &self.means, *scenario, fb),
+            ),
+            (Play::Single(scenario), FeedbackEvent::Single(fb)) => (
+                self.optimal,
+                step::score_single(&self.bandit, *scenario, fb),
+            ),
+            (Play::Combinatorial(family, scenario), FeedbackEvent::Combinatorial(fb))
+                if drifting =>
+            {
+                (
+                    step::combinatorial_benchmark_with(
+                        &self.bandit,
+                        family,
+                        &self.means,
+                        *scenario,
+                    ),
+                    step::score_combinatorial_with(&self.means, *scenario, fb),
+                )
+            }
+            (Play::Combinatorial(_, scenario), FeedbackEvent::Combinatorial(fb)) => (
+                self.optimal,
+                step::score_combinatorial(&self.bandit, *scenario, fb),
+            ),
+            (_, event) => panic!("feedback {event:?} does not match the tenant's play mode"),
+        };
+        assert_eq!(
+            scored.to_bits(),
+            reward.to_bits(),
+            "round {round}: the reply's reward is not the score of its own feedback"
+        );
+        self.total_reward += reward;
+        self.optimal_sum += optimal;
+        self.trace.record(optimal - reward, optimal - mean);
+    }
+
+    /// Records one in-process reply; the tenant must echo its feedback.
+    pub fn record_reply(&mut self, reply: &DecideReply) {
+        let event = reply
+            .feedback
+            .as_ref()
+            .expect("recorded tenants echo feedback");
+        self.record(reply.round, reply.reward, event);
+    }
+
+    /// Asserts the tenant's own running totals equal the recorded ones, bit
+    /// for bit.
+    pub fn assert_totals(&self, telemetry: &TenantTelemetry) {
+        assert_eq!(telemetry.round, self.trace.len() as u64, "{}", telemetry.id);
+        assert_eq!(
+            telemetry.total_reward.to_bits(),
+            self.total_reward.to_bits(),
+            "{}: total reward drifted from the recorded replies",
+            telemetry.id
+        );
+        assert_eq!(
+            telemetry.optimal_reward.to_bits(),
+            self.optimal_sum.to_bits(),
+            "{}: optimal-reward sum drifted from the recorded replies",
+            telemetry.id
+        );
+    }
+
+    /// The recorded run in the simulation runners' result format. A drifting
+    /// run reports the horizon average of its per-round optima, as the
+    /// drifted runners do.
+    pub fn run_result(&self) -> RunResult {
+        let horizon = self.trace.len();
+        let optimal_mean = match (&self.drift, horizon) {
+            (None, _) => self.optimal,
+            (Some(_), 0) => 0.0,
+            (Some(_), n) => self.optimal_sum / n as f64,
+        };
+        RunResult {
+            policy: self.policy.clone(),
+            horizon,
+            optimal_mean,
+            total_reward: self.total_reward,
+            trace: self.trace.clone(),
+        }
+    }
 }
 
 /// A run's trace with every float captured as its exact bit pattern.

@@ -226,7 +226,8 @@ mod durability {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::common::{
-        assert_golden, drift_scenario, golden_specs, DRIFT_CHANGE_ROUND, DRIFT_HORIZON,
+        assert_golden, drift_scenario, golden_specs, RegretRecorder, DRIFT_CHANGE_ROUND,
+        DRIFT_HORIZON,
     };
     use netband::prelude::*;
     use netband::serve::TraceKind;
@@ -263,11 +264,18 @@ mod durability {
         }
     }
 
-    /// Drives `rounds` closed-loop rounds: decide, then return the echoed
-    /// feedback for the same round (the golden-trace serving discipline).
-    fn serve_rounds(engine: &ServeEngine, tenant: &str, rounds: usize) {
+    /// Drives `rounds` closed-loop rounds: decide, record the reply, then
+    /// return the echoed feedback for the same round (the golden-trace
+    /// serving discipline).
+    fn serve_rounds(
+        engine: &ServeEngine,
+        tenant: &str,
+        rounds: usize,
+        recorder: &mut RegretRecorder,
+    ) {
         for _ in 0..rounds {
             let reply = engine.decide(tenant).expect("decide");
+            recorder.record_reply(&reply);
             let event = reply.feedback.expect("echoed feedback");
             engine
                 .feedback(tenant, reply.round, event)
@@ -289,14 +297,17 @@ mod durability {
 
     /// Kills an engine serving `spec` after `crash_round` rounds, recovers a
     /// second engine from the same directory, finishes the horizon there, and
-    /// asserts the stitched run reproduces the committed fixture bit for bit.
+    /// asserts the stitched run — the replies recorded before and after the
+    /// kill — reproduces the committed fixture bit for bit, and that the
+    /// recovered tenant's running totals equal the recorded ones.
     fn crash_recover_and_check(fixture: &'static str, spec: &ScenarioSpec, crash_round: usize) {
         let dir = DataDir::new(fixture);
+        let mut recorder = RegretRecorder::from_scenario(spec);
         let first = ServeEngine::start(dir.engine_config());
         first
             .register_tenant_spec(&RegisterTenantSpec::new(fixture, spec.clone()))
             .expect("register from spec");
-        serve_rounds(&first, fixture, crash_round);
+        serve_rounds(&first, fixture, crash_round, &mut recorder);
         kill(first);
 
         let second = ServeEngine::try_start(dir.engine_config()).expect("recover from disk");
@@ -305,6 +316,7 @@ mod durability {
             telemetry.round, crash_round as u64,
             "{fixture}: recovery must resume at the crash round, not reset"
         );
+        recorder.assert_totals(&telemetry);
         let store = second
             .store_metrics()
             .expect("store metrics")
@@ -316,10 +328,10 @@ mod durability {
             store.recovered_records + store.recovered_tenants >= 1,
             "{fixture}: recovery read nothing from disk"
         );
-        serve_rounds(&second, fixture, spec.horizon - crash_round);
-        let snapshot = second.evict_tenant(fixture).expect("evict");
+        serve_rounds(&second, fixture, spec.horizon - crash_round, &mut recorder);
+        recorder.assert_totals(&second.telemetry(fixture).expect("telemetry"));
         second.shutdown();
-        assert_golden(fixture, &snapshot.run_result());
+        assert_golden(fixture, &recorder.run_result());
     }
 
     /// The crash matrix over the four golden DFL traces: kill at the first
@@ -355,11 +367,12 @@ mod durability {
     fn corrupted_wal_frames_fail_recovery_loudly() {
         let dir = DataDir::new("crc");
         let (fixture, spec) = golden_specs().remove(0);
+        let mut recorder = RegretRecorder::from_scenario(&spec);
         let engine = ServeEngine::start(dir.engine_config());
         engine
             .register_tenant_spec(&RegisterTenantSpec::new(fixture, spec))
             .expect("register from spec");
-        serve_rounds(&engine, fixture, 20);
+        serve_rounds(&engine, fixture, 20, &mut recorder);
         kill(engine);
 
         let shard_dir = dir.0.join("shard-0");
@@ -642,7 +655,12 @@ mod durability {
         durable
             .register_tenant_spec(&RegisterTenantSpec::new(fixture, spec.clone()))
             .expect("register from spec");
-        serve_rounds(&durable, fixture, 8);
+        serve_rounds(
+            &durable,
+            fixture,
+            8,
+            &mut RegretRecorder::from_scenario(&spec),
+        );
 
         let samples = store_samples(&durable);
         for family in [

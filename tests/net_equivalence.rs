@@ -18,7 +18,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_golden, golden_specs, test_shards};
+use common::{assert_golden, golden_specs, test_shards, RegretRecorder};
 use netband::net::proto::{decision_to_wire, event_from_wire, event_to_wire};
 use netband::prelude::*;
 
@@ -57,6 +57,8 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
         ServerConfig::default(),
     );
     for (fixture, spec) in golden_specs() {
+        let mut served = RegretRecorder::from_scenario(&spec);
+        let mut expected_run = RegretRecorder::from_scenario(&spec);
         let reference = ServeEngine::with_shards(1);
         reference
             .register_tenant_spec(&RegisterTenantSpec::new(fixture, spec.clone()))
@@ -83,12 +85,17 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
                 "{fixture} round {round}: reward not bit-exact over the wire"
             );
             let event = reply.feedback.expect("wire reply echoes feedback");
-            let expected_event = expected.feedback.expect("reference echoes feedback");
+            let expected_event = expected
+                .feedback
+                .as_ref()
+                .expect("reference echoes feedback");
             assert_eq!(
                 event,
-                event_to_wire(&expected_event),
+                event_to_wire(expected_event),
                 "{fixture} round {round}: echoed feedback diverged"
             );
+            served.record(reply.round, reply.reward, &event_from_wire(event.clone()));
+            expected_run.record_reply(&expected);
 
             // Close the loop on both sides with the *wire* event, so the
             // feedback path is exercised end to end too.
@@ -107,18 +114,16 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
             assert_eq!(accepted, 1, "{fixture} round {round}");
         }
 
-        let served = server
+        served.assert_totals(&server.engine().telemetry(fixture).expect("wire telemetry"));
+        expected_run.assert_totals(&reference.telemetry(fixture).expect("reference telemetry"));
+        server
             .engine()
             .evict_tenant(fixture)
-            .expect("evict wire tenant")
-            .run_result();
-        let expected = reference
-            .evict_tenant(fixture)
-            .expect("evict reference tenant")
-            .run_result();
+            .expect("evict wire tenant");
         reference.shutdown();
 
         // The TCP-served trajectory IS the committed golden fixture...
+        let (served, expected) = (served.run_result(), expected_run.run_result());
         assert_golden(fixture, &served);
         // ...and agrees with the in-process engine on every field.
         assert_eq!(served.trace, expected.trace, "{fixture}: trace drifted");
@@ -157,6 +162,8 @@ fn chunked_wire_batches_match_the_in_process_batched_client() {
         .expect("register reference tenant");
     let mut ref_client = reference.client();
     let mut out: Vec<Result<DecideReply, ServeError>> = Vec::new();
+    let mut wire_run = RegretRecorder::from_scenario(&spec);
+    let mut ref_run = RegretRecorder::from_scenario(&spec);
 
     let mut served = 0;
     while served < spec.horizon {
@@ -176,6 +183,8 @@ fn chunked_wire_batches_match_the_in_process_batched_client() {
             assert_eq!(reply.decision, decision_to_wire(&expected.decision));
             assert_eq!(reply.reward.to_bits(), expected.reward.to_bits());
             let event = reply.feedback.expect("echoed feedback");
+            wire_run.record(reply.round, reply.reward, &event_from_wire(event.clone()));
+            ref_run.record_reply(expected);
             ref_window.push((reply.round, event_from_wire(event.clone())));
             wire_window.push(WireFeedback {
                 round: reply.round,
@@ -192,17 +201,12 @@ fn chunked_wire_batches_match_the_in_process_batched_client() {
         served += n;
     }
 
-    let wire_result = server
-        .engine()
-        .evict_tenant("wire")
-        .expect("evict wire tenant")
-        .run_result();
-    let ref_result = reference
-        .evict_tenant("ref")
-        .expect("evict reference tenant")
-        .run_result();
+    wire_run.assert_totals(&server.engine().telemetry("wire").expect("wire telemetry"));
+    ref_run.assert_totals(&reference.telemetry("ref").expect("reference telemetry"));
     reference.shutdown();
     server.shutdown();
+
+    let (wire_result, ref_result) = (wire_run.run_result(), ref_run.run_result());
 
     assert_eq!(wire_result.trace, ref_result.trace, "trace drifted");
     assert_eq!(

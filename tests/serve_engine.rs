@@ -8,6 +8,7 @@
 
 mod common;
 
+use common::RegretRecorder;
 use netband::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,21 +48,31 @@ fn tenant_spec(index: usize, flush: FlushPolicy) -> TenantSpec {
     }
 }
 
+/// The recorder scoring the replies of `tenant_spec(index, _)`.
+fn tenant_recorder(index: usize) -> RegretRecorder {
+    let bandit = instance(1000 + index as u64, 10);
+    if index % 2 == 0 {
+        RegretRecorder::single("DFL-SSO", bandit, SingleScenario::SideObservation)
+    } else {
+        let family = StrategyFamily::at_most_m(10, 3);
+        RegretRecorder::combinatorial("DFL-CSR", bandit, family, CombinatorialScenario::SideReward)
+    }
+}
+
 /// Drives one tenant for `rounds` decides, withholding feedback in a local
 /// window and delivering each window in *reverse* round order — the delayed,
-/// out-of-order regime. Returns the sum of realised rewards (for a cheap
-/// cross-run comparison).
+/// out-of-order regime. Every reply is recorded into `recorder`.
 fn drive_with_delayed_feedback(
     engine: &ServeEngine,
     tenant: &str,
     rounds: usize,
     window: usize,
-) -> f64 {
+    recorder: &mut RegretRecorder,
+) {
     let mut held = Vec::new();
-    let mut total = 0.0;
     for _ in 0..rounds {
         let reply = engine.decide(tenant).expect("decide");
-        total += reply.reward;
+        recorder.record_reply(&reply);
         held.push((reply.round, reply.feedback.expect("echoed feedback")));
         if held.len() >= window {
             for (round, event) in held.drain(..).rev() {
@@ -72,7 +83,6 @@ fn drive_with_delayed_feedback(
     for (round, event) in held.drain(..).rev() {
         engine.feedback(tenant, round, event).expect("feedback");
     }
-    total
 }
 
 /// The tentpole end-to-end scenario: a multi-shard engine (4 by default,
@@ -102,7 +112,9 @@ fn multi_shard_engine_serves_concurrent_clients_with_delayed_feedback() {
             scope.spawn(move || {
                 for index in (client..TENANTS).step_by(CLIENTS) {
                     let id = format!("tenant-{index:02}");
-                    drive_with_delayed_feedback(engine, &id, ROUNDS, 10);
+                    let mut recorder = tenant_recorder(index);
+                    drive_with_delayed_feedback(engine, &id, ROUNDS, 10, &mut recorder);
+                    recorder.assert_totals(&engine.telemetry(&id).expect("telemetry"));
                 }
             });
         }
@@ -139,33 +151,46 @@ fn tenant_runs_are_independent_of_cohabitation_and_threading() {
             .create_tenant(tenant_spec(index, FlushPolicy::batched(4)))
             .unwrap();
     }
-    std::thread::scope(|scope| {
-        for client in 0..3 {
-            let shared = &shared;
-            scope.spawn(move || {
-                for index in (client..6).step_by(3) {
-                    let id = format!("tenant-{index:02}");
-                    drive_with_delayed_feedback(shared, &id, 30, 7);
-                }
-            });
-        }
+    let mut shared_runs: Vec<(usize, RegretRecorder)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..3)
+            .map(|client| {
+                let shared = &shared;
+                scope.spawn(move || {
+                    (client..6)
+                        .step_by(3)
+                        .map(|index| {
+                            let id = format!("tenant-{index:02}");
+                            let mut recorder = tenant_recorder(index);
+                            drive_with_delayed_feedback(shared, &id, 30, 7, &mut recorder);
+                            (index, recorder)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().unwrap())
+            .collect()
     });
+    shared_runs.sort_by_key(|&(index, _)| index);
 
-    for index in 0..6 {
+    for (index, shared_run) in shared_runs {
         let id = format!("tenant-{index:02}");
-        let shared_snapshot = shared.evict_tenant(&id).unwrap();
+        shared_run.assert_totals(&shared.telemetry(&id).unwrap());
 
         let alone = ServeEngine::with_shards(1);
         alone
             .create_tenant(tenant_spec(index, FlushPolicy::batched(4)))
             .unwrap();
-        drive_with_delayed_feedback(&alone, &id, 30, 7);
-        let alone_snapshot = alone.evict_tenant(&id).unwrap();
+        let mut alone_run = tenant_recorder(index);
+        drive_with_delayed_feedback(&alone, &id, 30, 7, &mut alone_run);
+        alone_run.assert_totals(&alone.telemetry(&id).unwrap());
         alone.shutdown();
 
         assert_eq!(
-            shared_snapshot.run_result(),
-            alone_snapshot.run_result(),
+            shared_run.run_result(),
+            alone_run.run_result(),
             "{id}: cohabitation changed the served trajectory"
         );
     }

@@ -4,64 +4,84 @@
 //! immediate per-decide feedback must reproduce the committed
 //! `tests/fixtures/golden_*.json` per-round regret traces of all four DFL
 //! policies **f64-bit-exactly**. The engine decomposes a simulated round into
-//! decide (select + pull + regret record) and feedback ingestion (queue +
+//! decide (select + pull + running totals) and feedback ingestion (queue +
 //! in-round-order flush into the policy); with [`FlushPolicy::immediate`] that
 //! decomposition must be the very same math as the batch runner — summation
-//! order, RNG stream consumption and argmax tie-breaking included. These tests
-//! never regenerate fixtures; they only compare.
+//! order, RNG stream consumption and argmax tie-breaking included. The
+//! per-round trace is rebuilt from the echoed replies by a
+//! [`RegretRecorder`], and the tenant's own totals are checked against it.
+//! These tests never regenerate fixtures; they only compare.
 
 mod common;
 
 use common::{
     assert_golden, cso_family, csr_family, drift_scenario, fixture_instance, GoldenTrace,
-    COMB_HORIZON, DRIFT_CHANGE_ROUND, DRIFT_HORIZON, RUN_SEED, SINGLE_HORIZON,
+    RegretRecorder, COMB_HORIZON, DRIFT_CHANGE_ROUND, DRIFT_HORIZON, RUN_SEED, SINGLE_HORIZON,
 };
 use netband::prelude::*;
 use proptest::prelude::*;
 
+/// A single-play golden tenant and the recorder that scores its replies.
+fn single_tenant(
+    name: &str,
+    policy: impl SinglePlayPolicy + Clone + 'static,
+    scenario: SingleScenario,
+) -> (TenantSpec, RegretRecorder) {
+    let bandit = fixture_instance();
+    let recorder = RegretRecorder::single(policy.name(), bandit.clone(), scenario);
+    let spec = TenantSpec::single(name, bandit, policy, scenario, RUN_SEED);
+    (spec, recorder)
+}
+
+/// A combinatorial golden tenant and the recorder that scores its replies.
+fn combinatorial_tenant(
+    name: &str,
+    policy: impl CombinatorialPolicy + Clone + 'static,
+    family: StrategyFamily,
+    scenario: CombinatorialScenario,
+) -> (TenantSpec, RegretRecorder) {
+    let bandit = fixture_instance();
+    let recorder =
+        RegretRecorder::combinatorial(policy.name(), bandit.clone(), family.clone(), scenario);
+    let spec = TenantSpec::combinatorial(name, bandit, policy, family, scenario, RUN_SEED);
+    (spec, recorder)
+}
+
 /// Builds the four golden tenants, configured exactly like the batch runs:
 /// same instance, same policies, same scenarios, same reward-stream seed,
 /// immediate feedback application.
-fn golden_specs() -> Vec<(&'static str, usize, TenantSpec)> {
+fn golden_specs() -> Vec<(&'static str, usize, TenantSpec, RegretRecorder)> {
     let bandit = fixture_instance();
+    let graph = bandit.graph();
 
-    let sso = TenantSpec::single(
+    let sso = single_tenant(
         "dfl_sso",
-        bandit.clone(),
-        DflSso::new(bandit.graph().clone()),
+        DflSso::new(graph.clone()),
         SingleScenario::SideObservation,
-        RUN_SEED,
     );
-
-    let ssr = TenantSpec::single(
+    let ssr = single_tenant(
         "dfl_ssr",
-        bandit.clone(),
-        DflSsr::new(bandit.graph().clone()),
+        DflSsr::new(graph.clone()),
         SingleScenario::SideReward,
-        RUN_SEED,
     );
 
     let family = cso_family();
     let strategies = family
-        .enumerate(bandit.graph())
+        .enumerate(graph)
         .expect("fixture family is enumerable");
-    let cso = TenantSpec::combinatorial(
+    let cso = combinatorial_tenant(
         "dfl_cso",
-        bandit.clone(),
-        DflCso::from_strategies(bandit.graph(), strategies),
+        DflCso::from_strategies(graph, strategies),
         family,
         CombinatorialScenario::SideObservation,
-        RUN_SEED,
     );
 
     let family = csr_family();
-    let csr = TenantSpec::combinatorial(
+    let csr = combinatorial_tenant(
         "dfl_csr",
-        bandit.clone(),
-        DflCsr::new(bandit.graph().clone(), family.clone()),
+        DflCsr::new(graph.clone(), family.clone()),
         family,
         CombinatorialScenario::SideReward,
-        RUN_SEED,
     );
 
     vec![
@@ -71,15 +91,24 @@ fn golden_specs() -> Vec<(&'static str, usize, TenantSpec)> {
         ("dfl_csr", COMB_HORIZON, csr),
     ]
     .into_iter()
-    .map(|(name, horizon, spec)| (name, horizon, spec.with_flush(FlushPolicy::immediate())))
+    .map(|(name, horizon, (spec, recorder))| {
+        let spec = spec.with_flush(FlushPolicy::immediate());
+        (name, horizon, spec, recorder)
+    })
     .collect()
 }
 
-/// Serves `horizon` closed-loop rounds for `tenant`: every decide's revealed
-/// feedback is routed straight back into the engine.
-fn serve_closed_loop(engine: &ServeEngine, tenant: &str, horizon: usize) {
+/// Serves `horizon` closed-loop rounds for `tenant`: every decide's reply is
+/// recorded and its revealed feedback routed straight back into the engine.
+fn serve_closed_loop(
+    engine: &ServeEngine,
+    tenant: &str,
+    horizon: usize,
+    recorder: &mut RegretRecorder,
+) {
     for _ in 0..horizon {
         let reply = engine.decide(tenant).expect("decide");
+        recorder.record_reply(&reply);
         let event = reply.feedback.expect("golden tenants echo their feedback");
         engine
             .feedback(tenant, reply.round, event)
@@ -87,17 +116,24 @@ fn serve_closed_loop(engine: &ServeEngine, tenant: &str, horizon: usize) {
     }
 }
 
+/// Checks the tenant's running totals against the recorder, evicts it, and
+/// compares the recorded run with the committed fixture.
+fn evict_and_check(engine: &ServeEngine, name: &str, horizon: usize, recorder: &RegretRecorder) {
+    recorder.assert_totals(&engine.telemetry(name).expect("telemetry"));
+    let snapshot = engine.evict_tenant(name).expect("evict tenant");
+    assert_eq!(snapshot.round(), horizon as u64, "{name}");
+    assert_golden(name, &recorder.run_result());
+}
+
 /// One tenant at a time on a single-shard engine: each run must be
 /// bit-identical to its committed fixture.
 #[test]
 fn single_shard_engine_reproduces_all_golden_traces() {
-    for (name, horizon, spec) in golden_specs() {
+    for (name, horizon, spec, mut recorder) in golden_specs() {
         let engine = ServeEngine::with_shards(1);
         engine.create_tenant(spec).expect("create tenant");
-        serve_closed_loop(&engine, name, horizon);
-        let snapshot = engine.evict_tenant(name).expect("evict tenant");
-        assert_eq!(snapshot.round(), horizon as u64, "{name}");
-        assert_golden(name, &snapshot.run_result());
+        serve_closed_loop(&engine, name, horizon, &mut recorder);
+        evict_and_check(&engine, name, horizon, &recorder);
         engine.shutdown();
     }
 }
@@ -108,28 +144,24 @@ fn single_shard_engine_reproduces_all_golden_traces() {
 #[test]
 fn interleaved_tenants_on_one_shard_stay_bit_exact() {
     let engine = ServeEngine::with_shards(1);
-    let specs = golden_specs();
-    let schedule: Vec<(&str, usize)> = specs
-        .iter()
-        .map(|(name, horizon, _)| (*name, *horizon))
-        .collect();
-    for (_, _, spec) in specs {
+    let mut schedule = Vec::new();
+    for (name, horizon, spec, recorder) in golden_specs() {
         engine.create_tenant(spec).expect("create tenant");
+        schedule.push((name, horizon, recorder));
     }
-    let max_horizon = schedule.iter().map(|&(_, h)| h).max().unwrap();
+    let max_horizon = schedule.iter().map(|&(_, h, _)| h).max().unwrap();
     for round in 0..max_horizon {
-        for &(name, horizon) in &schedule {
-            if round < horizon {
+        for (name, horizon, recorder) in &mut schedule {
+            if round < *horizon {
                 let reply = engine.decide(name).expect("decide");
+                recorder.record_reply(&reply);
                 let event = reply.feedback.expect("echoed feedback");
                 engine.feedback(name, reply.round, event).expect("feedback");
             }
         }
     }
-    for (name, horizon) in schedule {
-        let snapshot = engine.evict_tenant(name).expect("evict tenant");
-        assert_eq!(snapshot.round(), horizon as u64, "{name}");
-        assert_golden(name, &snapshot.run_result());
+    for (name, horizon, recorder) in schedule {
+        evict_and_check(&engine, name, horizon, &recorder);
     }
     engine.shutdown();
 }
@@ -139,7 +171,7 @@ fn interleaved_tenants_on_one_shard_stay_bit_exact() {
 /// reproduce every committed fixture bit for bit.
 #[test]
 fn batched_client_reproduces_all_golden_traces_at_chunk_one() {
-    for (name, horizon, spec) in golden_specs() {
+    for (name, horizon, spec, mut recorder) in golden_specs() {
         let engine = ServeEngine::with_shards(1);
         engine.create_tenant(spec).expect("create tenant");
         let mut client = engine.client();
@@ -147,6 +179,7 @@ fn batched_client_reproduces_all_golden_traces_at_chunk_one() {
         for _ in 0..horizon {
             client.decide_many(name, 1, &mut replies).expect("decide");
             let reply = replies[0].as_mut().expect("golden decide succeeds");
+            recorder.record_reply(reply);
             let event = reply.feedback.take().expect("golden tenants echo");
             let round = reply.round;
             client
@@ -154,41 +187,32 @@ fn batched_client_reproduces_all_golden_traces_at_chunk_one() {
                 .expect("feedback");
         }
         drop(client);
-        let snapshot = engine.evict_tenant(name).expect("evict tenant");
-        assert_eq!(snapshot.round(), horizon as u64, "{name}");
-        assert_golden(name, &snapshot.run_result());
+        evict_and_check(&engine, name, horizon, &recorder);
         engine.shutdown();
     }
 }
 
 /// Builds one delayed-feedback tenant (flush threshold `flush`) on a fresh
-/// single-shard engine; `combinatorial` picks DFL-CSR over DFL-SSO so both
-/// reply shapes (arm and strategy decisions) are exercised.
-fn delayed_tenant_engine(combinatorial: bool, flush: usize) -> ServeEngine {
-    let bandit = fixture_instance();
-    let spec = if combinatorial {
+/// single-shard engine, plus its recorder; `combinatorial` picks DFL-CSR over
+/// DFL-SSO so both reply shapes (arm and strategy decisions) are exercised.
+fn delayed_tenant_engine(combinatorial: bool, flush: usize) -> (ServeEngine, RegretRecorder) {
+    let graph = fixture_instance().graph().clone();
+    let (spec, recorder) = if combinatorial {
         let family = csr_family();
-        TenantSpec::combinatorial(
+        combinatorial_tenant(
             "t",
-            bandit.clone(),
-            DflCsr::new(bandit.graph().clone(), family.clone()),
+            DflCsr::new(graph, family.clone()),
             family,
             CombinatorialScenario::SideReward,
-            RUN_SEED,
         )
     } else {
-        TenantSpec::single(
-            "t",
-            bandit.clone(),
-            DflSso::new(bandit.graph().clone()),
-            SingleScenario::SideObservation,
-            RUN_SEED,
-        )
-    }
-    .with_flush(FlushPolicy::batched(flush));
+        single_tenant("t", DflSso::new(graph), SingleScenario::SideObservation)
+    };
     let engine = ServeEngine::with_shards(1);
-    engine.create_tenant(spec).expect("create tenant");
     engine
+        .create_tenant(spec.with_flush(FlushPolicy::batched(flush)))
+        .expect("create tenant");
+    (engine, recorder)
 }
 
 proptest! {
@@ -207,8 +231,8 @@ proptest! {
         flush in 1usize..=6,
         combinatorial in 0usize..=1,
     ) {
-        let per_call = delayed_tenant_engine(combinatorial == 1, flush);
-        let batched = delayed_tenant_engine(combinatorial == 1, flush);
+        let (per_call, mut per_call_recorder) = delayed_tenant_engine(combinatorial == 1, flush);
+        let (batched, mut batched_recorder) = delayed_tenant_engine(combinatorial == 1, flush);
         let mut client = batched.client();
         let mut replies = Vec::new();
         for &(chunk, reversed) in &plan {
@@ -219,6 +243,8 @@ proptest! {
                 let want = per_call.decide("t").expect("per-call decide succeeds");
                 prop_assert_eq!(got, &want);
                 prop_assert_eq!(got.reward.to_bits(), want.reward.to_bits());
+                batched_recorder.record_reply(got);
+                per_call_recorder.record_reply(&want);
             }
             let mut window: Vec<(u64, FeedbackEvent)> = replies
                 .iter_mut()
@@ -243,11 +269,11 @@ proptest! {
             per_call.metrics().expect("metrics").tenants
         );
         drop(client);
-        let a = batched.evict_tenant("t").expect("evict");
-        let b = per_call.evict_tenant("t").expect("evict");
+        batched_recorder.assert_totals(&batched.telemetry("t").expect("telemetry"));
+        per_call_recorder.assert_totals(&per_call.telemetry("t").expect("telemetry"));
         prop_assert_eq!(
-            GoldenTrace::from_result(&a.run_result()),
-            GoldenTrace::from_result(&b.run_result())
+            GoldenTrace::from_result(&batched_recorder.run_result()),
+            GoldenTrace::from_result(&per_call_recorder.run_result())
         );
         batched.shutdown();
         per_call.shutdown();
@@ -260,14 +286,13 @@ proptest! {
 #[test]
 fn spec_registered_drifting_tenant_reproduces_the_drift_fixture() {
     let spec = drift_scenario();
+    let mut recorder = RegretRecorder::from_scenario(&spec);
     let engine = ServeEngine::with_shards(1);
     engine
         .register_tenant_spec(&RegisterTenantSpec::new("drift_cts", spec))
         .expect("register drifting tenant from spec");
-    serve_closed_loop(&engine, "drift_cts", DRIFT_HORIZON);
-    let snapshot = engine.evict_tenant("drift_cts").expect("evict tenant");
-    assert_eq!(snapshot.round(), DRIFT_HORIZON as u64);
-    assert_golden("drift_cts", &snapshot.run_result());
+    serve_closed_loop(&engine, "drift_cts", DRIFT_HORIZON, &mut recorder);
+    evict_and_check(&engine, "drift_cts", DRIFT_HORIZON, &recorder);
     engine.shutdown();
 }
 
@@ -279,12 +304,13 @@ fn spec_registered_drifting_tenant_reproduces_the_drift_fixture() {
 #[test]
 fn drifting_tenant_restart_across_the_change_point_stays_bit_exact() {
     let spec = drift_scenario();
+    let mut recorder = RegretRecorder::from_scenario(&spec);
     let first = ServeEngine::with_shards(1);
     first
         .register_tenant_spec(&RegisterTenantSpec::new("drift_cts", spec))
         .expect("register drifting tenant from spec");
     let before_change = (DRIFT_CHANGE_ROUND - 50) as usize;
-    serve_closed_loop(&first, "drift_cts", before_change);
+    serve_closed_loop(&first, "drift_cts", before_change, &mut recorder);
     let snapshot = first.snapshot_tenant("drift_cts").expect("snapshot tenant");
     assert!(
         snapshot.round() < DRIFT_CHANGE_ROUND,
@@ -294,10 +320,13 @@ fn drifting_tenant_restart_across_the_change_point_stays_bit_exact() {
 
     let second = ServeEngine::with_shards(1);
     second.restore_tenant(snapshot).expect("restore tenant");
-    serve_closed_loop(&second, "drift_cts", DRIFT_HORIZON - before_change);
-    let snapshot = second.evict_tenant("drift_cts").expect("evict tenant");
-    assert_eq!(snapshot.round(), DRIFT_HORIZON as u64);
-    assert_golden("drift_cts", &snapshot.run_result());
+    serve_closed_loop(
+        &second,
+        "drift_cts",
+        DRIFT_HORIZON - before_change,
+        &mut recorder,
+    );
+    evict_and_check(&second, "drift_cts", DRIFT_HORIZON, &recorder);
     second.shutdown();
 }
 
@@ -306,20 +335,18 @@ fn drifting_tenant_restart_across_the_change_point_stays_bit_exact() {
 /// for bit (the restart-survival guarantee of tenant checkpoints).
 #[test]
 fn snapshot_restore_across_engine_restart_stays_bit_exact() {
-    for (name, horizon, spec) in golden_specs() {
+    for (name, horizon, spec, mut recorder) in golden_specs() {
         let first = ServeEngine::with_shards(1);
         first.create_tenant(spec).expect("create tenant");
         let half = horizon / 2;
-        serve_closed_loop(&first, name, half);
+        serve_closed_loop(&first, name, half, &mut recorder);
         let snapshot = first.snapshot_tenant(name).expect("snapshot tenant");
         first.shutdown();
 
         let second = ServeEngine::with_shards(1);
         second.restore_tenant(snapshot).expect("restore tenant");
-        serve_closed_loop(&second, name, horizon - half);
-        let snapshot = second.evict_tenant(name).expect("evict tenant");
-        assert_eq!(snapshot.round(), horizon as u64, "{name}");
-        assert_golden(name, &snapshot.run_result());
+        serve_closed_loop(&second, name, horizon - half, &mut recorder);
+        evict_and_check(&second, name, horizon, &recorder);
         second.shutdown();
     }
 }

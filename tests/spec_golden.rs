@@ -18,7 +18,9 @@
 
 mod common;
 
-use common::{assert_golden, fixture_instance, golden_scenario, golden_specs, golden_workload};
+use common::{
+    assert_golden, fixture_instance, golden_scenario, golden_specs, golden_workload, RegretRecorder,
+};
 use netband::prelude::*;
 
 // ----- spec → build → run equals the committed fixtures --------------------
@@ -64,20 +66,22 @@ fn golden_traces_survive_the_json_round_trip() {
 fn spec_registered_tenants_serve_the_golden_trajectories() {
     for (fixture, spec) in golden_specs() {
         let expected = run_spec(&spec).expect("golden spec runs");
+        let mut recorder = RegretRecorder::from_scenario(&spec);
         let engine = ServeEngine::with_shards(1);
         engine
             .register_tenant_spec(&RegisterTenantSpec::new(fixture, spec.clone()))
             .expect("register from spec");
         for _ in 0..spec.horizon {
             let reply = engine.decide(fixture).expect("decide");
+            recorder.record_reply(&reply);
             let event = reply.feedback.expect("echoed feedback");
             engine
                 .feedback(fixture, reply.round, event)
                 .expect("feedback");
         }
-        let snapshot = engine.evict_tenant(fixture).expect("evict");
+        recorder.assert_totals(&engine.telemetry(fixture).expect("telemetry"));
         engine.shutdown();
-        let served = snapshot.run_result();
+        let served = recorder.run_result();
         assert_eq!(served.policy, expected.policy, "{fixture}");
         assert_eq!(served.horizon, expected.horizon, "{fixture}");
         assert_eq!(
