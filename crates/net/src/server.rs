@@ -18,11 +18,20 @@
 //! rejections the remote client can retry — not into an unbounded pile of
 //! blocked connections. Because each connection handles one frame at a time,
 //! per-connection inflight is structurally bounded at one request.
+//!
+//! ## Reward support
+//!
+//! A feedback window whose observations leave the paper's `[0, 1]` reward
+//! support (Section II; every arm distribution samples inside it) draws an
+//! [`WireErrorCode::Invalid`] error frame before anything is enqueued. A
+//! finite but huge value would otherwise drive an arm's running mean to NaN,
+//! which no telemetry frame or snapshot can encode.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // Relaxed counter bumps only — ordering is irrelevant for monotonic stats.
 use std::sync::atomic::Ordering::Relaxed;
 use std::thread;
@@ -30,8 +39,7 @@ use std::thread;
 use netband_serve::api::RegisterTenantSpec;
 use netband_serve::api::{DecideReply, ServeError};
 use netband_serve::{ServeClient, ServeEngine};
-use netband_spec::json::parse;
-use netband_spec::wire::{request_from_json, WireErrorCode, WireRequest, WireResponse};
+use netband_spec::wire::{WireErrorCode, WireEvent, WireRequest, WireResponse};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::obs::NetStats;
@@ -77,12 +85,46 @@ pub struct NetServer {
     stats: Arc<NetStats>,
 }
 
-/// Live-connection registry shared with the accept loop: streams so shutdown
-/// can unblock reads, handles so shutdown can join the handler threads.
+/// Connection registry shared with the accept loop and the handlers.
 #[derive(Default)]
 struct ConnectionRegistry {
-    streams: Mutex<Vec<TcpStream>>,
-    handlers: Mutex<Vec<thread::JoinHandle<()>>>,
+    state: Mutex<Connections>,
+}
+
+#[derive(Default)]
+struct Connections {
+    /// Live connections by id: a stream clone, so shutdown can unblock the
+    /// handler's read, and the handler once it is spawned. A handler removes
+    /// its own entry when it exits, so a closed connection keeps no
+    /// descriptor open.
+    live: HashMap<u64, (TcpStream, Option<thread::JoinHandle<()>>)>,
+    /// Handlers whose connection ended, for the accept loop or shutdown to
+    /// join.
+    finished: Vec<thread::JoinHandle<()>>,
+}
+
+impl ConnectionRegistry {
+    /// Every update is a single map or vector operation, so a registry
+    /// poisoned by a panicking thread is still consistent.
+    fn lock(&self) -> MutexGuard<'_, Connections> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Retires a connection's registry entry when its handler exits, unwinding
+/// included.
+struct Deregister {
+    registry: Arc<ConnectionRegistry>,
+    id: u64,
+}
+
+impl Drop for Deregister {
+    fn drop(&mut self) {
+        let mut connections = self.registry.lock();
+        if let Some((_, Some(handler))) = connections.live.remove(&self.id) {
+            connections.finished.push(handler);
+        }
+    }
 }
 
 impl NetServer {
@@ -155,17 +197,19 @@ impl NetServer {
             let _ = TcpStream::connect(wake);
             let _ = handle.join();
         }
-        if let Ok(streams) = self.shared.streams.lock() {
-            for stream in streams.iter() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        let handlers = {
-            let mut guard = self.shared.handlers.lock().expect("handler registry");
-            std::mem::take(&mut *guard)
+        let (live, finished) = {
+            let mut connections = self.shared.lock();
+            (
+                std::mem::take(&mut connections.live),
+                std::mem::take(&mut connections.finished),
+            )
         };
-        for handle in handlers {
-            let _ = handle.join();
+        for (stream, _) in live.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let handlers = live.into_values().filter_map(|(_, handler)| handler);
+        for handler in handlers.chain(finished) {
+            let _ = handler.join();
         }
     }
 }
@@ -184,30 +228,46 @@ fn accept_loop(
     shared: Arc<ConnectionRegistry>,
     stats: Arc<NetStats>,
 ) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             return;
         }
         // A failed accept (e.g. the peer reset before it completed) costs
         // only that connection.
         let Ok(stream) = stream else { continue };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let _ = stream.set_nodelay(true);
         stats.connections_accepted.fetch_add(1, Relaxed);
-        if let Ok(mut streams) = shared.streams.lock() {
-            if let Ok(clone) = stream.try_clone() {
-                streams.push(clone);
-            }
-        }
+        shared.lock().live.insert(id, (clone, None));
+        let deregister = Deregister {
+            registry: Arc::clone(&shared),
+            id,
+        };
         let engine = Arc::clone(&engine);
         let config = config.clone();
         let stop = Arc::clone(&stop);
         let stats = Arc::clone(&stats);
         let handle = thread::Builder::new()
             .name("netband-net-conn".into())
-            .spawn(move || connection_loop(stream, &engine, &config, &stop, &stats))
+            .spawn(move || {
+                let _deregister = deregister;
+                connection_loop(stream, &engine, &config, &stop, &stats)
+            })
             .expect("spawn connection thread");
-        if let Ok(mut handlers) = shared.handlers.lock() {
-            handlers.push(handle);
+        // A handler that already exited has retired its entry; its handle
+        // joins the finished ones, which are joined here.
+        let finished = {
+            let mut connections = shared.lock();
+            match connections.live.get_mut(&id) {
+                Some((_, handler)) => *handler = Some(handle),
+                None => connections.finished.push(handle),
+            }
+            std::mem::take(&mut connections.finished)
+        };
+        for handler in finished {
+            let _ = handler.join();
         }
     }
 }
@@ -230,6 +290,8 @@ fn connection_loop(
     let mut writer = BufWriter::new(stream);
     let mut client = engine.client();
     let mut scratch: Vec<Result<DecideReply, ServeError>> = Vec::new();
+    // The one response buffer of this connection, reused frame after frame.
+    let mut out = String::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -267,12 +329,13 @@ fn connection_loop(
             }
             _ => {}
         }
-        let reply_text = response.to_json_text();
-        if write_frame(&mut writer, &reply_text).is_err() {
+        out.clear();
+        response.write_json(&mut out);
+        if write_frame(&mut writer, &out).is_err() {
             return;
         }
         stats.frames_out.fetch_add(1, Relaxed);
-        stats.bytes_out.fetch_add(reply_text.len() as u64, Relaxed);
+        stats.bytes_out.fetch_add(out.len() as u64, Relaxed);
     }
 }
 
@@ -294,7 +357,7 @@ fn handle_request(
     config: &ServerConfig,
     text: &str,
 ) -> WireResponse {
-    let request = match parse(text).and_then(|v| request_from_json(&v)) {
+    let request = match WireRequest::from_json_text(text) {
         Ok(request) => request,
         Err(e) => {
             return WireResponse::Error {
@@ -347,6 +410,18 @@ fn handle_request(
                     ),
                 };
             }
+            if let Some(x) = events
+                .iter()
+                .flat_map(|f| observations(&f.event))
+                .find(|x| !(0.0..=1.0).contains(x))
+            {
+                return WireResponse::Error {
+                    code: WireErrorCode::Invalid,
+                    message: format!(
+                        "feedback observation {x} lies outside the [0, 1] reward support"
+                    ),
+                };
+            }
             let window = events
                 .into_iter()
                 .map(|f| (f.round, event_from_wire(f.event)));
@@ -384,6 +459,15 @@ fn handle_request(
             }
         },
     }
+}
+
+/// The observed values of a feedback event.
+fn observations(event: &WireEvent) -> impl Iterator<Item = f64> + '_ {
+    let observations = match event {
+        WireEvent::Single(f) => &f.observations,
+        WireEvent::Combinatorial(f) => &f.observations,
+    };
+    observations.iter().map(|&(_, x)| x)
 }
 
 #[cfg(test)]

@@ -1,991 +1,881 @@
-//! JSON encoding/decoding of the spec types.
+//! The field tables: every document's JSON form, declared once.
+//!
+//! Each document type lists its members once, in encoding order, in an
+//! `object!` table (structs) or a `tagged!` table (enums carrying a
+//! `"type"` tag). From that one list the macros generate both directions:
+//!
+//! * an **encoder** that appends the compact document to a caller-owned
+//!   `String` (a frame or WAL buffer), with no intermediate tree;
+//! * a one-pass **pull decoder** from the text straight into the typed
+//!   value. Unknown fields, missing fields and duplicate keys are checked
+//!   against the table with a per-object seen mask, and the shared
+//!   `Reader` keeps the grammar's depth cap and finite-number rule.
 //!
 //! Decoding is **strict**: unknown object fields, unknown `"type"` tags, and
 //! unsupported `version` numbers are hard errors, so typos in hand-written
 //! documents fail loudly instead of silently configuring the wrong scenario.
-//! Encoding always emits the canonical field order, so re-encoding a decoded
-//! document is stable.
+//! A member that is `null` counts as absent. When a decode fails, the text
+//! is re-read by [`json::parse`], so a syntax error (bad nesting, a
+//! duplicate key, a non-finite number) is reported before any schema error.
+//!
+//! **Byte compatibility is a rule:** the field order, the `{}` lexemes of
+//! `f64` values and the string escapes are those of the tree encoder this
+//! replaced, so stored data dirs, doc fences and old clients keep working.
+//! `tests/codec_compat.rs` holds one document of every kind to that.
+
+use std::borrow::Cow;
 
 use crate::error::SpecError;
-use crate::json::{parse, Json};
+use crate::json::{self, write_f64, write_string, write_u64, Reader};
 use crate::model::{
     ArmsSpec, ChangePointSpec, ChurnWindowSpec, DriftSpec, EstimatorSpec, FamilySpec, FeedbackSpec,
     FleetSpec, FleetTenant, GradualDriftSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus,
-    WorkloadSpec,
+    WorkloadSpec, SPEC_VERSION,
 };
 
-// ---------------------------------------------------------------------------
-// strict object reader
-// ---------------------------------------------------------------------------
-
-/// Tracks which keys of an object a decoder consumed; [`Obj::finish`] rejects
-/// everything left over.
-pub(crate) struct Obj<'a> {
-    ctx: &'static str,
-    fields: &'a [(String, Json)],
-    used: Vec<bool>,
-}
-
-impl<'a> Obj<'a> {
-    pub(crate) fn new(value: &'a Json, ctx: &'static str) -> Result<Self, SpecError> {
-        let fields = value.as_object().ok_or(SpecError::Invalid {
-            context: ctx,
-            message: "expected a JSON object".into(),
-        })?;
-        Ok(Obj {
-            ctx,
-            fields,
-            used: vec![false; fields.len()],
-        })
-    }
-
-    /// The field, if present (marks it consumed). `null` counts as absent for
-    /// optional fields, so callers see `None` either way.
-    pub(crate) fn opt(&mut self, name: &str) -> Option<&'a Json> {
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if key == name {
-                self.used[i] = true;
-                return if value.is_null() { None } else { Some(value) };
-            }
-        }
+/// A value with a strict JSON form.
+pub(crate) trait Codec: Sized {
+    /// Appends the compact JSON form to `out`.
+    fn encode(&self, out: &mut String);
+    /// Decodes the value at the reader's position; `ctx` names the
+    /// enclosing object in errors.
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError>;
+    /// The value of an absent (or `null`) member; `None` makes the member
+    /// required.
+    fn missing() -> Option<Self> {
         None
     }
-
-    pub(crate) fn req(&mut self, name: &'static str) -> Result<&'a Json, SpecError> {
-        self.opt(name).ok_or(SpecError::MissingField {
-            context: self.ctx,
-            field: name,
-        })
-    }
-
-    pub(crate) fn finish(self) -> Result<(), SpecError> {
-        for (i, (key, _)) in self.fields.iter().enumerate() {
-            if !self.used[i] {
-                return Err(SpecError::UnknownField {
-                    context: self.ctx,
-                    field: key.clone(),
-                });
-            }
-        }
-        Ok(())
+    /// Whether an `omit` member is left out of the encoding.
+    fn is_absent(&self) -> bool {
+        false
     }
 }
 
-// ---------------------------------------------------------------------------
-// scalar helpers
-// ---------------------------------------------------------------------------
+/// The members of an object without its braces, so a tagged variant can
+/// carry another table's members inline.
+pub(crate) trait Fields: Sized {
+    /// Appends `,"key":value` for every member present.
+    fn encode_fields(&self, out: &mut String);
+    /// Decodes the remaining members of an object already opened.
+    fn decode_fields(r: &mut Reader<'_>, members: Members) -> Result<Self, SpecError>;
+}
 
-pub(crate) fn get_u64(value: &Json, ctx: &'static str) -> Result<u64, SpecError> {
-    value.as_u64().ok_or(SpecError::Invalid {
+/// Where an object's `"type"` member stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// A plain object: `"type"` is an unknown field.
+    None,
+    /// The tag was the first member and has been read.
+    Read,
+    /// The tag was found ahead; its member is still in the stream.
+    Ahead,
+}
+
+/// The state of an object whose `{` has been read.
+#[derive(Clone, Copy)]
+pub(crate) struct Members {
+    first: bool,
+    tag: Tag,
+}
+
+impl Members {
+    pub(crate) const PLAIN: Members = Members {
+        first: true,
+        tag: Tag::None,
+    };
+}
+
+/// Runs the member loop of an open object: `field` decodes each member
+/// `keys` declares; `null` members count as absent. Returns the first
+/// unknown key, which the caller reports after its missing-field checks.
+pub(crate) fn members<'a>(
+    r: &mut Reader<'a>,
+    mut m: Members,
+    keys: &[&str],
+    mut field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), SpecError>,
+) -> Result<Option<String>, SpecError> {
+    debug_assert!(keys.len() <= 64, "the seen mask holds 64 members");
+    let mut seen = 0u64;
+    let mut tag_seen = m.tag == Tag::Read;
+    let mut unknown = None;
+    while let Some(key) = r.next_key(&mut m.first)? {
+        let slot = keys.iter().position(|k| *k == key);
+        let fresh = match slot {
+            Some(i) => {
+                let bit = 1u64 << i;
+                let fresh = seen & bit == 0;
+                seen |= bit;
+                fresh
+            }
+            None if key == "type" && m.tag != Tag::None => !std::mem::replace(&mut tag_seen, true),
+            None => {
+                unknown.get_or_insert_with(|| key.to_string());
+                r.skip_value()?;
+                continue;
+            }
+        };
+        if !fresh {
+            return Err(r.error(format!("duplicate object key {key:?}")));
+        }
+        match slot {
+            Some(_) if r.peek() != Some(b'n') => field(r, &key)?,
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(unknown)
+}
+
+/// Opens a tagged object and reads its `"type"`: straight away when it is
+/// the first member, by a look-ahead over the object otherwise.
+pub(crate) fn read_tag<'a>(
+    r: &mut Reader<'a>,
+    ctx: &'static str,
+) -> Result<(Cow<'a, str>, Members), SpecError> {
+    open_object(r, ctx)?;
+    let mut probe = *r;
+    let (mut first, mut ahead) = (true, false);
+    while let Some(key) = probe.next_key(&mut first)? {
+        match probe.peek() {
+            Some(b'"') if key == "type" => {
+                let tag = probe.string()?;
+                if ahead {
+                    return Ok((
+                        tag,
+                        Members {
+                            first: true,
+                            tag: Tag::Ahead,
+                        },
+                    ));
+                }
+                *r = probe;
+                return Ok((
+                    tag,
+                    Members {
+                        first: false,
+                        tag: Tag::Read,
+                    },
+                ));
+            }
+            Some(b'n') => {}
+            _ if key == "type" => return Err(invalid(&mut probe, ctx, "expected a string")),
+            _ => {}
+        }
+        ahead = true;
+        probe.skip_value()?;
+    }
+    Err(SpecError::MissingField {
         context: ctx,
-        message: format!("expected a non-negative integer, got {}", value.to_text()),
+        field: "type",
     })
 }
 
-pub(crate) fn get_usize(value: &Json, ctx: &'static str) -> Result<usize, SpecError> {
-    value.as_usize().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a non-negative integer, got {}", value.to_text()),
-    })
-}
-
-pub(crate) fn get_f64(value: &Json, ctx: &'static str) -> Result<f64, SpecError> {
-    value.as_f64().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a number, got {}", value.to_text()),
-    })
-}
-
-pub(crate) fn get_bool(value: &Json, ctx: &'static str) -> Result<bool, SpecError> {
-    value.as_bool().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a boolean, got {}", value.to_text()),
-    })
-}
-
-pub(crate) fn get_str<'a>(value: &'a Json, ctx: &'static str) -> Result<&'a str, SpecError> {
-    value.as_str().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: format!("expected a string, got {}", value.to_text()),
-    })
-}
-
-fn get_pairs_f64(value: &Json, ctx: &'static str) -> Result<Vec<(f64, f64)>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of [a, b] pairs".into(),
-    })?;
-    items
-        .iter()
-        .map(|item| {
-            let pair =
-                item.as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| SpecError::Invalid {
-                        context: ctx,
-                        message: format!("expected a 2-element array, got {}", item.to_text()),
-                    })?;
-            Ok((get_f64(&pair[0], ctx)?, get_f64(&pair[1], ctx)?))
-        })
-        .collect()
-}
-
-pub(crate) fn get_f64_array(value: &Json, ctx: &'static str) -> Result<Vec<f64>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of numbers".into(),
-    })?;
-    items.iter().map(|item| get_f64(item, ctx)).collect()
-}
-
-fn get_strategies(value: &Json, ctx: &'static str) -> Result<Vec<Vec<usize>>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of arm-id arrays".into(),
-    })?;
-    items
-        .iter()
-        .map(|item| {
-            let inner = item.as_array().ok_or_else(|| SpecError::Invalid {
-                context: ctx,
-                message: format!("expected an array of arm ids, got {}", item.to_text()),
-            })?;
-            inner.iter().map(|id| get_usize(id, ctx)).collect()
-        })
-        .collect()
-}
-
-fn pairs_f64_json(pairs: &[(f64, f64)]) -> Json {
-    Json::Array(
-        pairs
-            .iter()
-            .map(|&(a, b)| Json::Array(vec![Json::from_f64(a), Json::from_f64(b)]))
-            .collect(),
-    )
-}
-
-pub(crate) fn tagged(tag: &str, mut fields: Vec<(String, Json)>) -> Json {
-    let mut all = vec![("type".to_owned(), Json::String(tag.to_owned()))];
-    all.append(&mut fields);
-    Json::Object(all)
-}
-
-pub(crate) fn tag_of<'a>(obj: &mut Obj<'a>) -> Result<&'a str, SpecError> {
-    let ctx = obj.ctx;
-    get_str(obj.req("type")?, ctx)
-}
-
-// ---------------------------------------------------------------------------
-// GraphSpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn graph_to_json(spec: &GraphSpec) -> Json {
-    match spec {
-        GraphSpec::ErdosRenyi {
-            num_arms,
-            edge_prob,
-        } => tagged(
-            "erdos_renyi",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                ("edge_prob".into(), Json::from_f64(*edge_prob)),
-            ],
-        ),
-        GraphSpec::PreferentialAttachment {
-            num_arms,
-            edges_per_node,
-        } => tagged(
-            "preferential_attachment",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                (
-                    "edges_per_node".into(),
-                    Json::from_u64(*edges_per_node as u64),
-                ),
-            ],
-        ),
-        GraphSpec::PlantedPartition {
-            num_arms,
-            communities,
-            p_in,
-            p_out,
-        } => tagged(
-            "planted_partition",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                ("communities".into(), Json::from_u64(*communities as u64)),
-                ("p_in".into(), Json::from_f64(*p_in)),
-                ("p_out".into(), Json::from_f64(*p_out)),
-            ],
-        ),
-        GraphSpec::RandomGeometric { num_arms, radius } => tagged(
-            "random_geometric",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                ("radius".into(), Json::from_f64(*radius)),
-            ],
-        ),
-        GraphSpec::Explicit { num_arms, edges } => tagged(
-            "explicit",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                (
-                    "edges".into(),
-                    Json::Array(
-                        edges
-                            .iter()
-                            .map(|&(u, v)| {
-                                Json::Array(vec![
-                                    Json::from_u64(u as u64),
-                                    Json::from_u64(v as u64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-    }
-}
-
-pub(crate) fn graph_from_json(value: &Json) -> Result<GraphSpec, SpecError> {
-    const CTX: &str = "GraphSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "erdos_renyi" => GraphSpec::ErdosRenyi {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-            edge_prob: get_f64(obj.req("edge_prob")?, CTX)?,
-        },
-        "preferential_attachment" => GraphSpec::PreferentialAttachment {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-            edges_per_node: get_usize(obj.req("edges_per_node")?, CTX)?,
-        },
-        "planted_partition" => GraphSpec::PlantedPartition {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-            communities: get_usize(obj.req("communities")?, CTX)?,
-            p_in: get_f64(obj.req("p_in")?, CTX)?,
-            p_out: get_f64(obj.req("p_out")?, CTX)?,
-        },
-        "random_geometric" => GraphSpec::RandomGeometric {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-            radius: get_f64(obj.req("radius")?, CTX)?,
-        },
-        "explicit" => {
-            let num_arms = get_usize(obj.req("num_arms")?, CTX)?;
-            let edges_value = obj.req("edges")?;
-            let pairs = edges_value.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "edges must be an array of [u, v] pairs".into(),
-            })?;
-            let mut edges = Vec::with_capacity(pairs.len());
-            for pair in pairs {
-                let uv =
-                    pair.as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| SpecError::Invalid {
-                            context: CTX,
-                            message: format!("edge must be a [u, v] pair, got {}", pair.to_text()),
-                        })?;
-                edges.push((get_usize(&uv[0], CTX)?, get_usize(&uv[1], CTX)?));
-            }
-            GraphSpec::Explicit { num_arms, edges }
-        }
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
-// ArmsSpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn arms_to_json(spec: &ArmsSpec) -> Json {
-    match spec {
-        ArmsSpec::Bernoulli { means } => tagged(
-            "bernoulli",
-            vec![(
-                "means".into(),
-                Json::Array(means.iter().map(|&m| Json::from_f64(m)).collect()),
-            )],
-        ),
-        ArmsSpec::UniformMeanBernoulli { num_arms } => tagged(
-            "uniform_mean_bernoulli",
-            vec![("num_arms".into(), Json::from_u64(*num_arms as u64))],
-        ),
-        ArmsSpec::Beta { shapes } => {
-            tagged("beta", vec![("shapes".into(), pairs_f64_json(shapes))])
-        }
-        ArmsSpec::ClickThroughBeta {
-            num_arms,
-            floor,
-            spread,
-            concentration,
-        } => tagged(
-            "click_through_beta",
-            vec![
-                ("num_arms".into(), Json::from_u64(*num_arms as u64)),
-                ("floor".into(), Json::from_f64(*floor)),
-                ("spread".into(), Json::from_f64(*spread)),
-                ("concentration".into(), Json::from_f64(*concentration)),
-            ],
-        ),
-        ArmsSpec::Uniform { ranges } => {
-            tagged("uniform", vec![("ranges".into(), pairs_f64_json(ranges))])
-        }
-    }
-}
-
-pub(crate) fn arms_from_json(value: &Json) -> Result<ArmsSpec, SpecError> {
-    const CTX: &str = "ArmsSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "bernoulli" => ArmsSpec::Bernoulli {
-            means: get_f64_array(obj.req("means")?, CTX)?,
-        },
-        "uniform_mean_bernoulli" => ArmsSpec::UniformMeanBernoulli {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-        },
-        "beta" => ArmsSpec::Beta {
-            shapes: get_pairs_f64(obj.req("shapes")?, CTX)?,
-        },
-        "click_through_beta" => ArmsSpec::ClickThroughBeta {
-            num_arms: get_usize(obj.req("num_arms")?, CTX)?,
-            floor: get_f64(obj.req("floor")?, CTX)?,
-            spread: get_f64(obj.req("spread")?, CTX)?,
-            concentration: get_f64(obj.req("concentration")?, CTX)?,
-        },
-        "uniform" => ArmsSpec::Uniform {
-            ranges: get_pairs_f64(obj.req("ranges")?, CTX)?,
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
-// FamilySpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn family_to_json(spec: &FamilySpec) -> Json {
-    match spec {
-        FamilySpec::AtMostM { m } => {
-            tagged("at_most_m", vec![("m".into(), Json::from_u64(*m as u64))])
-        }
-        FamilySpec::ExactlyM { m } => {
-            tagged("exactly_m", vec![("m".into(), Json::from_u64(*m as u64))])
-        }
-        FamilySpec::IndependentSets { max_size } => tagged(
-            "independent_sets",
-            vec![("max_size".into(), Json::from_u64(*max_size as u64))],
-        ),
-        FamilySpec::Explicit { strategies } => tagged(
-            "explicit",
-            vec![(
-                "strategies".into(),
-                Json::Array(
-                    strategies
-                        .iter()
-                        .map(|s| Json::Array(s.iter().map(|&a| Json::from_u64(a as u64)).collect()))
-                        .collect(),
-                ),
-            )],
-        ),
-    }
-}
-
-pub(crate) fn family_from_json(value: &Json) -> Result<FamilySpec, SpecError> {
-    const CTX: &str = "FamilySpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "at_most_m" => FamilySpec::AtMostM {
-            m: get_usize(obj.req("m")?, CTX)?,
-        },
-        "exactly_m" => FamilySpec::ExactlyM {
-            m: get_usize(obj.req("m")?, CTX)?,
-        },
-        "independent_sets" => FamilySpec::IndependentSets {
-            max_size: get_usize(obj.req("max_size")?, CTX)?,
-        },
-        "explicit" => FamilySpec::Explicit {
-            strategies: get_strategies(obj.req("strategies")?, CTX)?,
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
-// EstimatorSpec, DriftSpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn estimator_to_json(spec: &EstimatorSpec) -> Json {
-    match spec {
-        EstimatorSpec::Stationary => tagged("stationary", vec![]),
-        EstimatorSpec::Discounted { gamma } => {
-            tagged("discounted", vec![("gamma".into(), Json::from_f64(*gamma))])
-        }
-        EstimatorSpec::SlidingWindow { window } => tagged(
-            "sliding_window",
-            vec![("window".into(), Json::from_u64(*window as u64))],
-        ),
-    }
-}
-
-pub(crate) fn estimator_from_json(value: &Json) -> Result<EstimatorSpec, SpecError> {
-    const CTX: &str = "EstimatorSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "stationary" => EstimatorSpec::Stationary,
-        "discounted" => EstimatorSpec::Discounted {
-            gamma: get_f64(obj.req("gamma")?, CTX)?,
-        },
-        "sliding_window" => EstimatorSpec::SlidingWindow {
-            window: get_usize(obj.req("window")?, CTX)?,
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    spec.validate()?;
-    Ok(spec)
-}
-
-pub(crate) fn drift_to_json(spec: &DriftSpec) -> Json {
-    let mut fields = vec![];
-    if let Some(gradual) = &spec.gradual {
-        fields.push((
-            "gradual".into(),
-            Json::Object(vec![
-                ("amplitude".into(), Json::from_f64(gradual.amplitude)),
-                ("period".into(), Json::from_u64(gradual.period)),
-            ]),
-        ));
-    }
-    if !spec.change_points.is_empty() {
-        fields.push((
-            "change_points".into(),
-            Json::Array(
-                spec.change_points
-                    .iter()
-                    .map(|cp| {
-                        Json::Object(vec![
-                            ("round".into(), Json::from_u64(cp.round)),
-                            ("rotation".into(), Json::from_u64(cp.rotation as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !spec.churn.is_empty() {
-        fields.push((
-            "churn".into(),
-            Json::Array(
-                spec.churn
-                    .iter()
-                    .map(|w| {
-                        Json::Object(vec![
-                            ("arm".into(), Json::from_u64(w.arm as u64)),
-                            ("from".into(), Json::from_u64(w.from)),
-                            ("to".into(), Json::from_u64(w.to)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Object(fields)
-}
-
-pub(crate) fn drift_from_json(value: &Json) -> Result<DriftSpec, SpecError> {
-    const CTX: &str = "DriftSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let gradual = obj
-        .opt("gradual")
-        .map(|v| -> Result<GradualDriftSpec, SpecError> {
-            let mut g = Obj::new(v, CTX)?;
-            let spec = GradualDriftSpec {
-                amplitude: get_f64(g.req("amplitude")?, CTX)?,
-                period: get_u64(g.req("period")?, CTX)?,
-            };
-            g.finish()?;
-            Ok(spec)
-        })
-        .transpose()?;
-    let change_points = obj
-        .opt("change_points")
-        .map(|v| -> Result<Vec<ChangePointSpec>, SpecError> {
-            let items = v.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "change_points must be an array".into(),
-            })?;
-            items
-                .iter()
-                .map(|item| {
-                    let mut cp = Obj::new(item, CTX)?;
-                    let spec = ChangePointSpec {
-                        round: get_u64(cp.req("round")?, CTX)?,
-                        rotation: get_usize(cp.req("rotation")?, CTX)?,
-                    };
-                    cp.finish()?;
-                    Ok(spec)
-                })
-                .collect()
-        })
-        .transpose()?
-        .unwrap_or_default();
-    let churn = obj
-        .opt("churn")
-        .map(|v| -> Result<Vec<ChurnWindowSpec>, SpecError> {
-            let items = v.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "churn must be an array".into(),
-            })?;
-            items
-                .iter()
-                .map(|item| {
-                    let mut w = Obj::new(item, CTX)?;
-                    let spec = ChurnWindowSpec {
-                        arm: get_usize(w.req("arm")?, CTX)?,
-                        from: get_u64(w.req("from")?, CTX)?,
-                        to: get_u64(w.req("to")?, CTX)?,
-                    };
-                    w.finish()?;
-                    Ok(spec)
-                })
-                .collect()
-        })
-        .transpose()?
-        .unwrap_or_default();
-    obj.finish()?;
-    Ok(DriftSpec {
-        gradual,
-        change_points,
-        churn,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// PolicySpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn policy_to_json(spec: &PolicySpec) -> Json {
-    let unit = |tag: &str| tagged(tag, vec![]);
-    match spec {
-        PolicySpec::DflSso => unit("dfl_sso"),
-        PolicySpec::DflSsr => unit("dfl_ssr"),
-        PolicySpec::DflCso => unit("dfl_cso"),
-        PolicySpec::DflCsr => unit("dfl_csr"),
-        PolicySpec::DflSsoGreedyNeighbor => unit("dfl_sso_greedy_neighbor"),
-        PolicySpec::DflSsrGreedyNeighbor => unit("dfl_ssr_greedy_neighbor"),
-        PolicySpec::Moss { horizon } => {
-            let mut fields = vec![];
-            if let Some(h) = horizon {
-                fields.push(("horizon".into(), Json::from_u64(*h as u64)));
-            }
-            tagged("moss", fields)
-        }
-        PolicySpec::Ucb1 => unit("ucb1"),
-        PolicySpec::UcbTuned => unit("ucb_tuned"),
-        PolicySpec::KlUcb { c } => {
-            let mut fields = vec![];
-            if let Some(c) = c {
-                fields.push(("c".into(), Json::from_f64(*c)));
-            }
-            tagged("kl_ucb", fields)
-        }
-        PolicySpec::UcbV { zeta, c } => {
-            let mut fields = vec![];
-            if let Some(zeta) = zeta {
-                fields.push(("zeta".into(), Json::from_f64(*zeta)));
-            }
-            if let Some(c) = c {
-                fields.push(("c".into(), Json::from_f64(*c)));
-            }
-            tagged("ucb_v", fields)
-        }
-        PolicySpec::EpsilonGreedy { epsilon, seed } => tagged(
-            "epsilon_greedy",
-            vec![
-                ("epsilon".into(), Json::from_f64(*epsilon)),
-                ("seed".into(), Json::from_u64(*seed)),
-            ],
-        ),
-        PolicySpec::DecayingEpsilonGreedy { c, seed } => tagged(
-            "decaying_epsilon_greedy",
-            vec![
-                ("c".into(), Json::from_f64(*c)),
-                ("seed".into(), Json::from_u64(*seed)),
-            ],
-        ),
-        PolicySpec::Softmax { tau, seed } => tagged(
-            "softmax",
-            vec![
-                ("tau".into(), Json::from_f64(*tau)),
-                ("seed".into(), Json::from_u64(*seed)),
-            ],
-        ),
-        PolicySpec::Exp3 { gamma, seed } => tagged(
-            "exp3",
-            vec![
-                ("gamma".into(), Json::from_f64(*gamma)),
-                ("seed".into(), Json::from_u64(*seed)),
-            ],
-        ),
-        PolicySpec::ThompsonBernoulli { seed } => tagged(
-            "thompson_bernoulli",
-            vec![("seed".into(), Json::from_u64(*seed))],
-        ),
-        PolicySpec::RandomSingle { seed } => tagged(
-            "random_single",
-            vec![("seed".into(), Json::from_u64(*seed))],
-        ),
-        PolicySpec::Cucb => unit("cucb"),
-        PolicySpec::Llr => unit("llr"),
-        PolicySpec::CombEpsilonGreedy { c, seed } => tagged(
-            "comb_epsilon_greedy",
-            vec![
-                ("c".into(), Json::from_f64(*c)),
-                ("seed".into(), Json::from_u64(*seed)),
-            ],
-        ),
-        PolicySpec::NaiveComArmMoss => unit("naive_comarm_moss"),
-        PolicySpec::RandomCombinatorial { seed } => tagged(
-            "random_combinatorial",
-            vec![("seed".into(), Json::from_u64(*seed))],
-        ),
-        PolicySpec::Cts { seed, estimator } => {
-            let mut fields = vec![("seed".into(), Json::from_u64(*seed))];
-            if let Some(estimator) = estimator {
-                fields.push(("estimator".into(), estimator_to_json(estimator)));
-            }
-            tagged("cts", fields)
-        }
-    }
-}
-
-pub(crate) fn policy_from_json(value: &Json) -> Result<PolicySpec, SpecError> {
-    const CTX: &str = "PolicySpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "dfl_sso" => PolicySpec::DflSso,
-        "dfl_ssr" => PolicySpec::DflSsr,
-        "dfl_cso" => PolicySpec::DflCso,
-        "dfl_csr" => PolicySpec::DflCsr,
-        "dfl_sso_greedy_neighbor" => PolicySpec::DflSsoGreedyNeighbor,
-        "dfl_ssr_greedy_neighbor" => PolicySpec::DflSsrGreedyNeighbor,
-        "moss" => PolicySpec::Moss {
-            horizon: obj.opt("horizon").map(|v| get_usize(v, CTX)).transpose()?,
-        },
-        "ucb1" => PolicySpec::Ucb1,
-        "ucb_tuned" => PolicySpec::UcbTuned,
-        "kl_ucb" => PolicySpec::KlUcb {
-            c: obj.opt("c").map(|v| get_f64(v, CTX)).transpose()?,
-        },
-        "ucb_v" => PolicySpec::UcbV {
-            zeta: obj.opt("zeta").map(|v| get_f64(v, CTX)).transpose()?,
-            c: obj.opt("c").map(|v| get_f64(v, CTX)).transpose()?,
-        },
-        "epsilon_greedy" => PolicySpec::EpsilonGreedy {
-            epsilon: get_f64(obj.req("epsilon")?, CTX)?,
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "decaying_epsilon_greedy" => PolicySpec::DecayingEpsilonGreedy {
-            c: get_f64(obj.req("c")?, CTX)?,
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "softmax" => PolicySpec::Softmax {
-            tau: get_f64(obj.req("tau")?, CTX)?,
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "exp3" => PolicySpec::Exp3 {
-            gamma: get_f64(obj.req("gamma")?, CTX)?,
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "thompson_bernoulli" => PolicySpec::ThompsonBernoulli {
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "random_single" => PolicySpec::RandomSingle {
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "cucb" => PolicySpec::Cucb,
-        "llr" => PolicySpec::Llr,
-        "comb_epsilon_greedy" => PolicySpec::CombEpsilonGreedy {
-            c: get_f64(obj.req("c")?, CTX)?,
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "naive_comarm_moss" => PolicySpec::NaiveComArmMoss,
-        "random_combinatorial" => PolicySpec::RandomCombinatorial {
-            seed: get_u64(obj.req("seed")?, CTX)?,
-        },
-        "cts" => PolicySpec::Cts {
-            seed: get_u64(obj.req("seed")?, CTX)?,
-            estimator: obj.opt("estimator").map(estimator_from_json).transpose()?,
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
-// SideBonus, FeedbackSpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn side_bonus_to_json(spec: &SideBonus) -> Json {
-    Json::String(
-        match spec {
-            SideBonus::Observation => "observation",
-            SideBonus::Reward => "reward",
-        }
-        .to_owned(),
-    )
-}
-
-pub(crate) fn side_bonus_from_json(value: &Json) -> Result<SideBonus, SpecError> {
-    const CTX: &str = "SideBonus";
-    match get_str(value, CTX)? {
-        "observation" => Ok(SideBonus::Observation),
-        "reward" => Ok(SideBonus::Reward),
-        other => Err(SpecError::UnknownVariant {
-            context: CTX,
-            variant: other.to_owned(),
-        }),
-    }
-}
-
-pub(crate) fn feedback_to_json(spec: &FeedbackSpec) -> Json {
-    match spec {
-        FeedbackSpec::Immediate => tagged("immediate", vec![]),
-        FeedbackSpec::Batched { max_pending } => tagged(
-            "batched",
-            vec![("max_pending".into(), Json::from_u64(*max_pending as u64))],
-        ),
-    }
-}
-
-pub(crate) fn feedback_from_json(value: &Json) -> Result<FeedbackSpec, SpecError> {
-    const CTX: &str = "FeedbackSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = match tag_of(&mut obj)? {
-        "immediate" => FeedbackSpec::Immediate,
-        "batched" => FeedbackSpec::Batched {
-            max_pending: get_usize(obj.req("max_pending")?, CTX)?,
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    spec.validate()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
-// WorkloadSpec, ScenarioSpec, FleetSpec
-// ---------------------------------------------------------------------------
-
-pub(crate) fn workload_to_json(spec: &WorkloadSpec) -> Json {
-    let mut fields = vec![
-        ("graph".into(), graph_to_json(&spec.graph)),
-        ("arms".into(), arms_to_json(&spec.arms)),
-        (
-            "family".into(),
-            spec.family
-                .as_ref()
-                .map(family_to_json)
-                .unwrap_or(Json::Null),
-        ),
-    ];
-    // The drift key is omitted entirely (not emitted as null) when absent, so
-    // documents written before the key existed re-encode byte-identically.
-    if let Some(drift) = &spec.drift {
-        fields.push(("drift".into(), drift_to_json(drift)));
-    }
-    fields.push(("seed".into(), Json::from_u64(spec.seed)));
-    Json::Object(fields)
-}
-
-pub(crate) fn workload_from_json(value: &Json) -> Result<WorkloadSpec, SpecError> {
-    const CTX: &str = "WorkloadSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let spec = WorkloadSpec {
-        graph: graph_from_json(obj.req("graph")?)?,
-        arms: arms_from_json(obj.req("arms")?)?,
-        family: obj.opt("family").map(family_from_json).transpose()?,
-        drift: obj.opt("drift").map(drift_from_json).transpose()?,
-        seed: get_u64(obj.req("seed")?, CTX)?,
-    };
-    obj.finish()?;
-    Ok(spec)
-}
-
-pub(crate) fn scenario_to_json(spec: &ScenarioSpec) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(spec.version)),
-        ("name".into(), Json::String(spec.name.clone())),
-        ("workload".into(), workload_to_json(&spec.workload)),
-        ("policy".into(), policy_to_json(&spec.policy)),
-        ("side_bonus".into(), side_bonus_to_json(&spec.side_bonus)),
-        ("horizon".into(), Json::from_u64(spec.horizon as u64)),
-        (
-            "replications".into(),
-            Json::from_u64(spec.replications as u64),
-        ),
-        ("seed".into(), Json::from_u64(spec.seed)),
-        ("feedback".into(), feedback_to_json(&spec.feedback)),
-    ])
-}
-
-pub(crate) fn scenario_from_json(value: &Json) -> Result<ScenarioSpec, SpecError> {
-    const CTX: &str = "ScenarioSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    // The version gate comes first so documents from a future schema fail
-    // with `UnsupportedVersion` before any stricter field check confuses the
-    // matter.
-    let version = get_u64(obj.req("version")?, CTX)?;
-    if version != crate::model::SPEC_VERSION {
-        return Err(SpecError::UnsupportedVersion {
-            found: version,
-            supported: crate::model::SPEC_VERSION,
+pub(crate) fn open_object(r: &mut Reader<'_>, ctx: &'static str) -> Result<(), SpecError> {
+    if r.peek() != Some(b'{') {
+        return Err(SpecError::Invalid {
+            context: ctx,
+            message: "expected a JSON object".into(),
         });
     }
-    let spec = ScenarioSpec {
-        version,
-        name: get_str(obj.req("name")?, CTX)?.to_owned(),
-        workload: workload_from_json(obj.req("workload")?)?,
-        policy: policy_from_json(obj.req("policy")?)?,
-        side_bonus: side_bonus_from_json(obj.req("side_bonus")?)?,
-        horizon: get_usize(obj.req("horizon")?, CTX)?,
-        replications: get_usize(obj.req("replications")?, CTX)?,
-        seed: get_u64(obj.req("seed")?, CTX)?,
-        feedback: feedback_from_json(obj.req("feedback")?)?,
+    r.open(b'{')
+}
+
+/// A wrong-typed value: skips it and quotes it in the error.
+fn invalid(r: &mut Reader<'_>, ctx: &'static str, expected: &str) -> SpecError {
+    match r.describe_value() {
+        Ok(got) => SpecError::Invalid {
+            context: ctx,
+            message: format!("{expected}, got {got}"),
+        },
+        Err(syntax) => syntax,
+    }
+}
+
+/// Decodes one whole document. On failure the text is re-read by
+/// [`json::parse`], whose syntax error, if any, takes precedence.
+pub(crate) fn decode_text<T: Codec>(text: &str) -> Result<T, SpecError> {
+    let mut r = Reader::new(text);
+    r.skip_whitespace();
+    let decoded = T::decode(&mut r, "document").and_then(|value| r.finish().map(|()| value));
+    decoded.map_err(|schema| json::parse(text).err().unwrap_or(schema))
+}
+
+// ---------------------------------------------------------------------------
+// values
+// ---------------------------------------------------------------------------
+
+macro_rules! integer {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            fn encode(&self, out: &mut String) {
+                write_u64(out, *self as u64);
+            }
+
+            fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+                let mut probe = *r;
+                if matches!(probe.peek(), Some(b'-' | b'0'..=b'9')) {
+                    if let Ok(v) = probe.number()?.parse::<$ty>() {
+                        *r = probe;
+                        return Ok(v);
+                    }
+                }
+                Err(invalid(r, ctx, "expected a non-negative integer"))
+            }
+        }
+    )*};
+}
+
+integer!(u64, usize);
+
+impl Codec for u32 {
+    fn encode(&self, out: &mut String) {
+        write_u64(out, u64::from(*self));
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        let v = u64::decode(r, ctx)?;
+        u32::try_from(v).map_err(|_| SpecError::Invalid {
+            context: ctx,
+            message: format!("{v} does not fit in u32"),
+        })
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(invalid(r, ctx, "expected a number"));
+        }
+        let lexeme = r.number()?;
+        // Up to 15 digits convert exactly without the float parser; most
+        // rewards and observations are 0 or 1.
+        if lexeme.len() <= 15 && lexeme.bytes().all(|b| b.is_ascii_digit()) {
+            let v = lexeme
+                .bytes()
+                .fold(0u64, |v, b| v * 10 + u64::from(b - b'0'));
+            return Ok(v as f64);
+        }
+        r.finite(lexeme)
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        match r.peek() {
+            Some(b't') => r.keyword("true").map(|()| true),
+            Some(b'f') => r.keyword("false").map(|()| false),
+            _ => Err(invalid(r, ctx, "expected a boolean")),
+        }
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, out: &mut String) {
+        write_string(out, self);
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        match r.peek() {
+            Some(b'"') => r.string().map(Cow::into_owned),
+            _ => Err(invalid(r, ctx, "expected a string")),
+        }
+    }
+}
+
+fn encode_slice<T: Codec>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.encode(out);
+    }
+    out.push(']');
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        encode_slice(self, out);
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        if r.peek() != Some(b'[') {
+            return Err(invalid(r, ctx, "expected an array"));
+        }
+        r.open(b'[')?;
+        let (mut items, mut first) = (Vec::new(), true);
+        while r.next_item(&mut first)? {
+            items.push(T::decode(r, ctx)?);
+        }
+        Ok(items)
+    }
+
+    fn is_absent(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// Scalars that pair up as a 2-element array (`[u, v]`, `[arm, reward]`).
+trait Scalar: Codec {}
+impl Scalar for u64 {}
+impl Scalar for usize {}
+impl Scalar for f64 {}
+
+impl<A: Scalar, B: Scalar> Codec for (A, B) {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        self.0.encode(out);
+        out.push(',');
+        self.1.encode(out);
+        out.push(']');
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        let start = *r;
+        if r.peek() == Some(b'[') {
+            r.open(b'[')?;
+            let mut first = true;
+            if r.next_item(&mut first)? {
+                let a = A::decode(r, ctx)?;
+                if r.next_item(&mut first)? {
+                    let b = B::decode(r, ctx)?;
+                    if !r.next_item(&mut first)? {
+                        return Ok((a, b));
+                    }
+                }
+            }
+        }
+        *r = start;
+        Err(invalid(r, ctx, "expected a 2-element array"))
+    }
+}
+
+/// Raw xoshiro256++ state words.
+impl Codec for [u64; 4] {
+    fn encode(&self, out: &mut String) {
+        encode_slice(self, out);
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        <[u64; 4]>::try_from(Vec::<u64>::decode(r, ctx)?).map_err(|words| SpecError::Invalid {
+            context: ctx,
+            message: format!("rng state must be 4 words, got {}", words.len()),
+        })
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        T::decode(r, ctx).map(Box::new)
+    }
+}
+
+impl<T: Fields> Fields for Box<T> {
+    fn encode_fields(&self, out: &mut String) {
+        (**self).encode_fields(out);
+    }
+
+    fn decode_fields(r: &mut Reader<'_>, members: Members) -> Result<Self, SpecError> {
+        T::decode_fields(r, members).map(Box::new)
+    }
+}
+
+/// `None` encodes as `null`, unless its member is marked `omit`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(value) => value.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>, ctx: &'static str) -> Result<Self, SpecError> {
+        T::decode(r, ctx).map(Some)
+    }
+
+    fn missing() -> Option<Self> {
+        Some(None)
+    }
+
+    fn is_absent(&self) -> bool {
+        self.is_none()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the table macros
+// ---------------------------------------------------------------------------
+
+/// One member of a table: `"key" => field: Type`, optionally followed by
+/// `[omit]` (left out when absent: `None` or empty; its default when
+/// missing) or `[gate check]` (`check(&value)` runs as soon as the member is
+/// read, so a version gate fails before any other member is looked at).
+macro_rules! member {
+    (encode $out:ident, $key:literal, $value:ident) => {{
+        $out.push_str(concat!(",\"", $key, "\":"));
+        $crate::codec::Codec::encode($value, $out);
+    }};
+    (encode $out:ident, $key:literal, $value:ident, omit) => {
+        if !$crate::codec::Codec::is_absent($value) {
+            $crate::codec::member!(encode $out, $key, $value);
+        }
     };
-    obj.finish()?;
-    spec.validate()?;
-    Ok(spec)
+    (encode $out:ident, $key:literal, $value:ident, gate $check:path) => {
+        $crate::codec::member!(encode $out, $key, $value)
+    };
+    (gate $value:ident) => {};
+    (gate $value:ident, omit) => {};
+    (gate $value:ident, gate $check:path) => {
+        $check(&$value)?
+    };
+    (missing $ctx:literal, $key:literal, $value:ident) => {
+        $value
+            .or_else($crate::codec::Codec::missing)
+            .ok_or($crate::error::SpecError::MissingField {
+                context: $ctx,
+                field: $key,
+            })
+    };
+    (missing $ctx:literal, $key:literal, $value:ident, omit) => {
+        Ok::<_, $crate::error::SpecError>($value.unwrap_or_default())
+    };
+    (missing $ctx:literal, $key:literal, $value:ident, gate $check:path) => {
+        $crate::codec::member!(missing $ctx, $key, $value)
+    };
 }
 
-pub(crate) fn fleet_to_json(spec: &FleetSpec) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(spec.version)),
-        ("name".into(), Json::String(spec.name.clone())),
-        (
-            "tenants".into(),
-            Json::Array(
-                spec.tenants
-                    .iter()
-                    .map(|t| {
-                        Json::Object(vec![
-                            ("id".into(), Json::String(t.id.clone())),
-                            ("scenario".into(), scenario_to_json(&t.scenario)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Decodes the members of an open object into the locals the table names,
+/// then evaluates `$ctor` with them.
+macro_rules! decode_members {
+    ($r:expr, $m:expr, $ctx:literal, {}, $($ctor:tt)*) => {{
+        if let Some(field) = $crate::codec::members($r, $m, &[], |_, _| Ok(()))? {
+            return Err($crate::error::SpecError::UnknownField { context: $ctx, field });
+        }
+        $($ctor)*
+    }};
+    ($r:expr, $m:expr, $ctx:literal,
+     { $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),* },
+     $($ctor:tt)*) => {{
+        $(let mut $field: Option<$fty> = None;)*
+        let unknown = $crate::codec::members($r, $m, &[$($key),*], |r, key| {
+            match key {
+                $($key => {
+                    let value = <$fty as $crate::codec::Codec>::decode(r, $ctx)?;
+                    $crate::codec::member!(gate value $(, $($mode)*)?);
+                    $field = Some(value);
+                })*
+                _ => unreachable!("members passes declared keys only"),
+            }
+            Ok(())
+        })?;
+        $(let $field = $crate::codec::member!(missing $ctx, $key, $field $(, $($mode)*)?)?;)*
+        if let Some(field) = unknown {
+            return Err($crate::error::SpecError::UnknownField { context: $ctx, field });
+        }
+        $($ctor)*
+    }};
 }
 
-pub(crate) fn fleet_from_json(value: &Json) -> Result<FleetSpec, SpecError> {
-    const CTX: &str = "FleetSpec";
-    let mut obj = Obj::new(value, CTX)?;
-    let version = get_u64(obj.req("version")?, CTX)?;
-    if version != crate::model::SPEC_VERSION {
+/// The JSON object form of a struct (or, with an explicit `[pattern]`, of
+/// any type that pattern destructures), with an optional `then check` run
+/// on the decoded value.
+macro_rules! object {
+    ($name:ident as $ctx:literal {
+        $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),* $(,)?
+    } $(then $check:path)?) => {
+        $crate::codec::object!(($name) as $ctx [$name { $($field),* }] {
+            $($key => $field: $fty $([$($mode)*])?),*
+        } $(then $check)?);
+    };
+    (($ty:ty) as $ctx:literal [$($ctor:tt)*] {
+        $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),* $(,)?
+    } $(then $check:path)?) => {
+        impl $crate::codec::Fields for $ty {
+            fn encode_fields(&self, out: &mut String) {
+                let $($ctor)* = self;
+                $($crate::codec::member!(encode out, $key, $field $(, $($mode)*)?);)*
+            }
+
+            fn decode_fields(
+                r: &mut $crate::json::Reader<'_>,
+                members: $crate::codec::Members,
+            ) -> Result<Self, $crate::error::SpecError> {
+                Ok($crate::codec::decode_members!(r, members, $ctx, {
+                    $($key => $field: $fty $([$($mode)*])?),*
+                }, $($ctor)*))
+            }
+        }
+
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, out: &mut String) {
+                let start = out.len();
+                $crate::codec::Fields::encode_fields(self, out);
+                if out.len() == start {
+                    out.push_str("{}");
+                } else {
+                    // Every member starts with a comma; the first opens.
+                    out.replace_range(start..start + 1, "{");
+                    out.push('}');
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::json::Reader<'_>,
+                _ctx: &'static str,
+            ) -> Result<Self, $crate::error::SpecError> {
+                $crate::codec::open_object(r, $ctx)?;
+                let value: Self = $crate::codec::Fields::decode_fields(r, $crate::codec::Members::PLAIN)?;
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// One variant of a `tagged!` table: `Name { members }` (unit variants
+/// are `Name {}`), `Name("key": Type)` for a newtype carried in one member,
+/// or `Name(Inner)` for a newtype whose own table's members sit inline.
+macro_rules! variant {
+    (pattern $ty:ident $variant:ident {} $bind:ident) => {
+        $ty::$variant
+    };
+    (pattern $ty:ident $variant:ident { $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),* } $bind:ident) => {
+        $ty::$variant { $($field),* }
+    };
+    (pattern $ty:ident $variant:ident ($($inner:tt)*) $bind:ident) => {
+        $ty::$variant($bind)
+    };
+    (encode $out:ident { $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),* } $bind:ident) => {
+        $($crate::codec::member!(encode $out, $key, $field $(, $($mode)*)?);)*
+    };
+    (encode $out:ident ($key:literal: $fty:ty) $bind:ident) => {
+        $crate::codec::member!(encode $out, $key, $bind)
+    };
+    (encode $out:ident ($inner:ty) $bind:ident) => {
+        $crate::codec::Fields::encode_fields($bind, $out)
+    };
+    (decode $r:ident $m:ident $ctx:literal $ty:ident $variant:ident {} $bind:ident) => {
+        $crate::codec::decode_members!($r, $m, $ctx, {}, $ty::$variant)
+    };
+    (decode $r:ident $m:ident $ctx:literal $ty:ident $variant:ident {
+        $($key:literal => $field:ident: $fty:ty $([$($mode:tt)*])?),*
+    } $bind:ident) => {
+        $crate::codec::decode_members!($r, $m, $ctx, {
+            $($key => $field: $fty $([$($mode)*])?),*
+        }, $ty::$variant { $($field),* })
+    };
+    (decode $r:ident $m:ident $ctx:literal $ty:ident $variant:ident ($key:literal: $fty:ty) $bind:ident) => {
+        $crate::codec::decode_members!($r, $m, $ctx, { $key => $bind: $fty }, $ty::$variant($bind))
+    };
+    (decode $r:ident $m:ident $ctx:literal $ty:ident $variant:ident ($inner:ty) $bind:ident) => {
+        $ty::$variant(<$inner as $crate::codec::Fields>::decode_fields($r, $m)?)
+    };
+}
+
+/// The JSON form of an enum as an object tagged by its `"type"` member,
+/// one `"tag" => Variant` line per variant, with an optional `then check`.
+macro_rules! tagged {
+    ($ty:ident as $ctx:literal {
+        $($tag:literal => $variant:ident $body:tt),* $(,)?
+    } $(then $check:path)?) => {
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, out: &mut String) {
+                match self {
+                    $($crate::codec::variant!(pattern $ty $variant $body value) => {
+                        out.push_str(concat!("{\"type\":\"", $tag, "\""));
+                        $crate::codec::variant!(encode out $body value);
+                        out.push('}');
+                    })*
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::json::Reader<'_>,
+                _ctx: &'static str,
+            ) -> Result<Self, $crate::error::SpecError> {
+                let (tag, members) = $crate::codec::read_tag(r, $ctx)?;
+                let value = match &*tag {
+                    $($tag => $crate::codec::variant!(decode r members $ctx $ty $variant $body value),)*
+                    other => {
+                        return Err($crate::error::SpecError::UnknownVariant {
+                            context: $ctx,
+                            variant: other.to_owned(),
+                        })
+                    }
+                };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// The JSON form of a fieldless enum as a bare string token.
+macro_rules! tokens {
+    ($ty:ident as $ctx:literal { $($token:literal => $variant:ident),* $(,)? }) => {
+        impl $ty {
+            /// The variant's wire token.
+            pub(crate) fn token(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $token,)*
+                }
+            }
+
+            /// The variant a wire token names.
+            pub(crate) fn from_token(token: &str) -> Result<Self, $crate::error::SpecError> {
+                match token {
+                    $($token => Ok($ty::$variant),)*
+                    other => Err($crate::error::SpecError::UnknownVariant {
+                        context: $ctx,
+                        variant: other.to_owned(),
+                    }),
+                }
+            }
+        }
+
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, out: &mut String) {
+                $crate::json::write_string(out, self.token());
+            }
+
+            fn decode(
+                r: &mut $crate::json::Reader<'_>,
+                _ctx: &'static str,
+            ) -> Result<Self, $crate::error::SpecError> {
+                Self::from_token(&<String as $crate::codec::Codec>::decode(r, $ctx)?)
+            }
+        }
+    };
+}
+
+/// The public text entry points of a top-level document.
+macro_rules! text_entry_points {
+    ($($ty:ident: $what:literal;)*) => {$(
+        impl $ty {
+            #[doc = concat!("Encodes the ", $what, " to a compact JSON document.")]
+            pub fn to_json_text(&self) -> String {
+                let mut out = String::new();
+                self.write_json(&mut out);
+                out
+            }
+
+            #[doc = concat!("Appends the ", $what, " as a compact JSON document to `out` ")]
+            /// (a reused frame or file buffer); the bytes equal
+            #[doc = concat!("[`", stringify!($ty), "::to_json_text`].")]
+            pub fn write_json(&self, out: &mut String) {
+                $crate::codec::Codec::encode(self, out);
+            }
+
+            #[doc = concat!("Decodes a ", $what, " from JSON text (strict: unknown fields, ")]
+            /// unknown variants, duplicate keys and unsupported versions are
+            /// errors).
+            pub fn from_json_text(text: &str) -> Result<Self, $crate::error::SpecError> {
+                $crate::codec::decode_text(text)
+            }
+        }
+    )*};
+}
+
+pub(crate) use {decode_members, member, object, tagged, text_entry_points, tokens, variant};
+
+// ---------------------------------------------------------------------------
+// the spec documents
+// ---------------------------------------------------------------------------
+
+tagged!(GraphSpec as "GraphSpec" {
+    "erdos_renyi" => ErdosRenyi {
+        "num_arms" => num_arms: usize,
+        "edge_prob" => edge_prob: f64
+    },
+    "preferential_attachment" => PreferentialAttachment {
+        "num_arms" => num_arms: usize,
+        "edges_per_node" => edges_per_node: usize
+    },
+    "planted_partition" => PlantedPartition {
+        "num_arms" => num_arms: usize,
+        "communities" => communities: usize,
+        "p_in" => p_in: f64,
+        "p_out" => p_out: f64
+    },
+    "random_geometric" => RandomGeometric {
+        "num_arms" => num_arms: usize,
+        "radius" => radius: f64
+    },
+    "explicit" => Explicit {
+        "num_arms" => num_arms: usize,
+        "edges" => edges: Vec<(usize, usize)>
+    },
+});
+
+tagged!(ArmsSpec as "ArmsSpec" {
+    "bernoulli" => Bernoulli { "means" => means: Vec<f64> },
+    "uniform_mean_bernoulli" => UniformMeanBernoulli { "num_arms" => num_arms: usize },
+    "beta" => Beta { "shapes" => shapes: Vec<(f64, f64)> },
+    "click_through_beta" => ClickThroughBeta {
+        "num_arms" => num_arms: usize,
+        "floor" => floor: f64,
+        "spread" => spread: f64,
+        "concentration" => concentration: f64
+    },
+    "uniform" => Uniform { "ranges" => ranges: Vec<(f64, f64)> },
+});
+
+tagged!(FamilySpec as "FamilySpec" {
+    "at_most_m" => AtMostM { "m" => m: usize },
+    "exactly_m" => ExactlyM { "m" => m: usize },
+    "independent_sets" => IndependentSets { "max_size" => max_size: usize },
+    "explicit" => Explicit { "strategies" => strategies: Vec<Vec<usize>> },
+});
+
+tagged!(EstimatorSpec as "EstimatorSpec" {
+    "stationary" => Stationary {},
+    "discounted" => Discounted { "gamma" => gamma: f64 },
+    "sliding_window" => SlidingWindow { "window" => window: usize },
+} then EstimatorSpec::validate);
+
+object!(GradualDriftSpec as "DriftSpec" {
+    "amplitude" => amplitude: f64,
+    "period" => period: u64,
+});
+
+object!(ChangePointSpec as "DriftSpec" {
+    "round" => round: u64,
+    "rotation" => rotation: usize,
+});
+
+object!(ChurnWindowSpec as "DriftSpec" {
+    "arm" => arm: usize,
+    "from" => from: u64,
+    "to" => to: u64,
+});
+
+object!(DriftSpec as "DriftSpec" {
+    "gradual" => gradual: Option<GradualDriftSpec> [omit],
+    "change_points" => change_points: Vec<ChangePointSpec> [omit],
+    "churn" => churn: Vec<ChurnWindowSpec> [omit],
+});
+
+tagged!(PolicySpec as "PolicySpec" {
+    "dfl_sso" => DflSso {},
+    "dfl_ssr" => DflSsr {},
+    "dfl_cso" => DflCso {},
+    "dfl_csr" => DflCsr {},
+    "dfl_sso_greedy_neighbor" => DflSsoGreedyNeighbor {},
+    "dfl_ssr_greedy_neighbor" => DflSsrGreedyNeighbor {},
+    "moss" => Moss { "horizon" => horizon: Option<usize> [omit] },
+    "ucb1" => Ucb1 {},
+    "ucb_tuned" => UcbTuned {},
+    "kl_ucb" => KlUcb { "c" => c: Option<f64> [omit] },
+    "ucb_v" => UcbV {
+        "zeta" => zeta: Option<f64> [omit],
+        "c" => c: Option<f64> [omit]
+    },
+    "epsilon_greedy" => EpsilonGreedy { "epsilon" => epsilon: f64, "seed" => seed: u64 },
+    "decaying_epsilon_greedy" => DecayingEpsilonGreedy { "c" => c: f64, "seed" => seed: u64 },
+    "softmax" => Softmax { "tau" => tau: f64, "seed" => seed: u64 },
+    "exp3" => Exp3 { "gamma" => gamma: f64, "seed" => seed: u64 },
+    "thompson_bernoulli" => ThompsonBernoulli { "seed" => seed: u64 },
+    "random_single" => RandomSingle { "seed" => seed: u64 },
+    "cucb" => Cucb {},
+    "llr" => Llr {},
+    "comb_epsilon_greedy" => CombEpsilonGreedy { "c" => c: f64, "seed" => seed: u64 },
+    "naive_comarm_moss" => NaiveComArmMoss {},
+    "random_combinatorial" => RandomCombinatorial { "seed" => seed: u64 },
+    "cts" => Cts {
+        "seed" => seed: u64,
+        "estimator" => estimator: Option<EstimatorSpec> [omit]
+    },
+});
+
+tokens!(SideBonus as "SideBonus" {
+    "observation" => Observation,
+    "reward" => Reward,
+});
+
+tagged!(FeedbackSpec as "FeedbackSpec" {
+    "immediate" => Immediate {},
+    "batched" => Batched { "max_pending" => max_pending: usize },
+} then FeedbackSpec::validate);
+
+// The drift key is omitted entirely (not emitted as null) when absent, so
+// documents written before the key existed re-encode byte-identically.
+object!(WorkloadSpec as "WorkloadSpec" {
+    "graph" => graph: GraphSpec,
+    "arms" => arms: ArmsSpec,
+    "family" => family: Option<FamilySpec>,
+    "drift" => drift: Option<DriftSpec> [omit],
+    "seed" => seed: u64,
+});
+
+/// The version gate: a document from another schema or format fails with
+/// `UnsupportedVersion` before any stricter member check confuses the
+/// matter.
+pub(crate) fn version_gate<const SUPPORTED: u64>(found: &u64) -> Result<(), SpecError> {
+    if *found != SUPPORTED {
         return Err(SpecError::UnsupportedVersion {
-            found: version,
-            supported: crate::model::SPEC_VERSION,
+            found: *found,
+            supported: SUPPORTED,
         });
     }
-    let name = get_str(obj.req("name")?, CTX)?.to_owned();
-    let tenants_value = obj.req("tenants")?;
-    let items = tenants_value.as_array().ok_or(SpecError::Invalid {
-        context: CTX,
-        message: "tenants must be an array".into(),
-    })?;
-    let mut tenants = Vec::with_capacity(items.len());
-    for item in items {
-        let mut tenant = Obj::new(item, "FleetTenant")?;
-        let id = get_str(tenant.req("id")?, "FleetTenant")?.to_owned();
-        let scenario = scenario_from_json(tenant.req("scenario")?)?;
-        tenant.finish()?;
-        tenants.push(FleetTenant { id, scenario });
-    }
-    obj.finish()?;
-    let spec = FleetSpec {
-        version,
-        name,
-        tenants,
-    };
-    spec.validate()?;
-    Ok(spec)
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// text entry points on the public types
-// ---------------------------------------------------------------------------
+object!(ScenarioSpec as "ScenarioSpec" {
+    "version" => version: u64 [gate version_gate::<SPEC_VERSION>],
+    "name" => name: String,
+    "workload" => workload: WorkloadSpec,
+    "policy" => policy: PolicySpec,
+    "side_bonus" => side_bonus: SideBonus,
+    "horizon" => horizon: usize,
+    "replications" => replications: usize,
+    "seed" => seed: u64,
+    "feedback" => feedback: FeedbackSpec,
+} then ScenarioSpec::validate);
+
+object!(FleetTenant as "FleetTenant" {
+    "id" => id: String,
+    "scenario" => scenario: ScenarioSpec,
+});
+
+object!(FleetSpec as "FleetSpec" {
+    "version" => version: u64 [gate version_gate::<SPEC_VERSION>],
+    "name" => name: String,
+    "tenants" => tenants: Vec<FleetTenant>,
+} then FleetSpec::validate);
+
+text_entry_points! {
+    ScenarioSpec: "scenario";
+    FleetSpec: "fleet";
+}
 
 impl ScenarioSpec {
-    /// Serialises the scenario to compact JSON.
-    pub fn to_json_text(&self) -> String {
-        scenario_to_json(self).to_text()
-    }
-
     /// Serialises the scenario to indented JSON.
     pub fn to_json_pretty(&self) -> String {
-        scenario_to_json(self).to_text_pretty()
-    }
-
-    /// Parses a scenario from JSON text (strict: unknown fields, unknown
-    /// variants, and unsupported versions are errors).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        scenario_from_json(&parse(text)?)
+        pretty(&self.to_json_text())
     }
 }
 
 impl FleetSpec {
-    /// Serialises the fleet to compact JSON.
-    pub fn to_json_text(&self) -> String {
-        fleet_to_json(self).to_text()
-    }
-
     /// Serialises the fleet to indented JSON.
     pub fn to_json_pretty(&self) -> String {
-        fleet_to_json(self).to_text_pretty()
+        pretty(&self.to_json_text())
     }
+}
 
-    /// Parses a fleet from JSON text (strict).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        fleet_from_json(&parse(text)?)
-    }
+/// Re-indents a compact document the encoder just wrote.
+fn pretty(compact: &str) -> String {
+    json::parse(compact)
+        .expect("the encoder writes well-formed JSON")
+        .to_text_pretty()
 }

@@ -1,13 +1,20 @@
-//! A minimal JSON value, parser, and writer.
+//! The strict JSON grammar: one pull `Reader`, the [`Json`] tree built on
+//! it, and the writers every encoder appends with.
 //!
-//! Every document the workspace persists or sends — scenarios, fleets, wire
-//! frames, WAL records, snapshots — is (de)serialised through this
-//! hand-rolled codec. It is deliberately small and strict:
+//! Typed documents (scenarios, fleets, wire frames, WAL records, snapshots)
+//! never go through the tree: their field tables in [`crate::codec`] decode
+//! straight from a `Reader` and encode straight into the caller's buffer.
+//! The tree remains for documents without a table (reports, ad-hoc probes)
+//! and as the syntax authority on the error path: when a typed decode fails,
+//! [`parse`] is consulted so a malformed document reports its syntax error
+//! before any schema error. Both paths share one lexer, so they accept the
+//! same texts. The grammar is deliberately small and strict:
 //!
 //! * numbers keep their **raw lexeme** (`Json::Number` stores the token
 //!   text), so `u64` seeds survive without passing through `f64`, and `f64`
 //!   values round-trip exactly (Rust's `{}` formatting emits the shortest
-//!   representation that re-parses to the same bits);
+//!   representation that re-parses to the same bits); a lexeme that parses to
+//!   a non-finite `f64` (`1e400`) is an error;
 //! * duplicate object keys are a parse error (a spec with two `seed` fields is
 //!   ambiguous, not "last one wins");
 //! * strings follow RFC 8259 strictly: raw (unescaped) control characters and
@@ -20,6 +27,7 @@
 //!   document (say, a megabyte of `[`) is a parse error rather than a stack
 //!   overflow in the recursive-descent parser.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::error::SpecError;
@@ -59,8 +67,9 @@ impl Json {
     ///
     /// Panics on non-finite input — specs never contain NaN/infinities.
     pub fn from_f64(v: f64) -> Json {
-        assert!(v.is_finite(), "spec numbers must be finite, got {v}");
-        Json::Number(format!("{v}"))
+        let mut lexeme = String::new();
+        write_f64(&mut lexeme, v);
+        Json::Number(lexeme)
     }
 
     /// The value as `u64`, if it is an integral number lexeme in range.
@@ -173,7 +182,7 @@ impl Json {
                     }
                     out.push('\n');
                     out.push_str(&INDENT.repeat(depth + 1));
-                    write_string(key, out);
+                    write_string(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, depth + 1);
                 }
@@ -191,7 +200,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Number(lexeme) => out.push_str(lexeme),
-            Json::String(s) => write_string(s, out),
+            Json::String(s) => write_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -208,7 +217,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(key, out);
+                    write_string(out, key);
                     out.push(':');
                     value.write(out);
                 }
@@ -218,69 +227,123 @@ impl Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string: the mandatory escapes, everything else raw.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..=0x1F => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` sits on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Appends a `u64` in decimal.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends a finite `f64` as its shortest round-trip lexeme (`{}`).
+///
+/// # Panics
+///
+/// Panics on non-finite input — no document carries NaN or infinities.
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    assert!(v.is_finite(), "spec numbers must be finite, got {v}");
+    // `{}` prints an integral value below 1e15 as its digits (`-0` for
+    // negative zero); most rewards and observations are 0 or 1.
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, v.abs() as u64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
 }
 
 /// Parses a JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, SpecError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-        key_order: Vec::new(),
-    };
-    parser.skip_whitespace();
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing characters after the document"));
-    }
+    let mut reader = Reader::new(text);
+    reader.skip_whitespace();
+    let value = reader.tree()?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull parser over one document: the one lexer behind [`parse`] and the
+/// typed decoders. Container calls ([`Reader::open`], [`Reader::next_key`],
+/// [`Reader::next_item`]) track the nesting depth, so every path enforces
+/// [`MAX_DEPTH`].
+#[derive(Clone, Copy)]
+pub(crate) struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays/objects currently open around `pos`.
     depth: usize,
-    /// Scratch for the duplicate-key check: field indices of the object
-    /// just closed, sorted by key.
-    key_order: Vec<usize>,
 }
 
-impl<'a> Parser<'a> {
-    fn error(&self, message: impl Into<String>) -> SpecError {
+impl<'a> Reader<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    pub(crate) fn error(&self, message: impl Into<String>) -> SpecError {
         SpecError::Json {
             offset: self.pos,
             message: message.into(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_whitespace(&mut self) {
+    pub(crate) fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Requires only whitespace after the document.
+    pub(crate) fn finish(&mut self) -> Result<(), SpecError> {
+        self.skip_whitespace();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters after the document"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), SpecError> {
@@ -292,8 +355,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_keyword(&mut self, keyword: &str) -> Result<(), SpecError> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+    pub(crate) fn keyword(&mut self, keyword: &str) -> Result<(), SpecError> {
+        if self.text.as_bytes()[self.pos..].starts_with(keyword.as_bytes()) {
             self.pos += keyword.len();
             Ok(())
         } else {
@@ -301,152 +364,172 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, SpecError> {
+    /// Enters the array or object whose opening `byte` is at `pos`, refusing
+    /// to go past [`MAX_DEPTH`].
+    pub(crate) fn open(&mut self, byte: u8) -> Result<(), SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(byte)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// The next member key of the open object, with `pos` left on its
+    /// value; `None` once the closing `}` is consumed.
+    pub(crate) fn next_key(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, SpecError> {
+        self.skip_whitespace();
+        match (std::mem::replace(first, false), self.peek()) {
+            (_, Some(b'}')) => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(None);
+            }
+            (true, _) => {}
+            (false, Some(b',')) => {
+                self.pos += 1;
+                self.skip_whitespace();
+            }
+            (false, _) => return Err(self.error("expected ',' or '}' in object")),
+        }
+        let key = self.string()?;
+        self.skip_whitespace();
+        self.expect(b':')?;
+        self.skip_whitespace();
+        Ok(Some(key))
+    }
+
+    /// `true` with `pos` on the next element of the open array; `false` once
+    /// the closing `]` is consumed.
+    pub(crate) fn next_item(&mut self, first: &mut bool) -> Result<bool, SpecError> {
+        self.skip_whitespace();
+        match (std::mem::replace(first, false), self.peek()) {
+            (_, Some(b']')) => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            (true, _) => {}
+            (false, Some(b',')) => {
+                self.pos += 1;
+                self.skip_whitespace();
+            }
+            (false, _) => return Err(self.error("expected ',' or ']' in array")),
+        }
+        Ok(true)
+    }
+
+    /// Builds the value at `pos` as a tree.
+    fn tree(&mut self) -> Result<Json, SpecError> {
+        let mut first = true;
         match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.expect_keyword("true").map(|_| Json::Bool(true)),
-            Some(b'f') => self.expect_keyword("false").map(|_| Json::Bool(false)),
-            Some(b'n') => self.expect_keyword("null").map(|_| Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                self.open(b'{')?;
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                while let Some(key) = self.next_key(&mut first)? {
+                    fields.push((key.into_owned(), self.tree()?));
+                }
+                self.reject_duplicate_keys(&fields)?;
+                Ok(Json::Object(fields))
+            }
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut items = Vec::new();
+                while self.next_item(&mut first)? {
+                    items.push(self.tree()?);
+                }
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::String(self.string()?.into_owned())),
+            Some(b't') => self.keyword("true").map(|_| Json::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|_| Json::Bool(false)),
+            Some(b'n') => self.keyword("null").map(|_| Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let lexeme = self.number()?;
+                self.finite(lexeme)?;
+                Ok(Json::Number(lexeme.to_owned()))
+            }
             Some(c) => Err(self.error(format!("unexpected character {:?}", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    /// Parses one array or object one level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Json, SpecError>,
-    ) -> Result<Json, SpecError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn object(&mut self) -> Result<Json, SpecError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.reject_duplicate_keys(&fields)?;
-                    return Ok(Json::Object(fields));
+    /// Skips the value at `pos`, checking its syntax without building it.
+    pub(crate) fn skip_value(&mut self) -> Result<(), SpecError> {
+        let mut first = true;
+        match self.peek() {
+            Some(b'{') => {
+                self.open(b'{')?;
+                while self.next_key(&mut first)?.is_some() {
+                    self.skip_value()?;
                 }
-                _ => return Err(self.error("expected ',' or '}' in object")),
+                Ok(())
             }
+            Some(b'[') => {
+                self.open(b'[')?;
+                while self.next_item(&mut first)? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let lexeme = self.number()?;
+                self.finite(lexeme).map(drop)
+            }
+            _ => self.tree().map(drop),
         }
     }
 
     /// Rejects an object that repeats a key. Sorting the keys makes the
     /// check O(n log n), so a hostile object with many keys costs no more
     /// than parsing it.
-    fn reject_duplicate_keys(&mut self, fields: &[(String, Json)]) -> Result<(), SpecError> {
-        self.key_order.clear();
-        self.key_order.extend(0..fields.len());
-        self.key_order
-            .sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
-        match self
-            .key_order
-            .windows(2)
-            .find(|pair| fields[pair[0]].0 == fields[pair[1]].0)
-        {
-            Some(pair) => {
-                let key = &fields[pair[0]].0;
-                Err(self.error(format!("duplicate object key {key:?}")))
-            }
+    fn reject_duplicate_keys(&self, fields: &[(String, Json)]) -> Result<(), SpecError> {
+        let mut order: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        order.sort_unstable();
+        match order.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(self.error(format!("duplicate object key {:?}", pair[0]))),
             None => Ok(()),
         }
     }
 
-    fn array(&mut self) -> Result<Json, SpecError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SpecError> {
+    /// The string at `pos`, borrowed from the input unless it has escapes.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, SpecError> {
         self.expect(b'"')?;
+        let start = self.pos;
         let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(if out.is_empty() {
+                        Cow::Borrowed(&self.text[start..self.pos - 1])
+                    } else {
+                        Cow::Owned(out)
+                    });
                 }
                 Some(b'\\') => {
+                    if out.is_empty() {
+                        out.push_str(&self.text[start..self.pos]);
+                    }
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{08}',
+                        Some(b'f') => '\u{0C}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: a \uXXXX low surrogate must follow.
-                                self.pos += 1; // consume the final hex digit position
-                                self.expect_keyword("\\u")
-                                    .map_err(|_| self.error("expected low surrogate"))?;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(first)
-                                    .ok_or_else(|| self.error("invalid \\u escape"))?
-                            };
-                            out.push(c);
+                            self.unicode_escape()?
                         }
                         _ => return Err(self.error("invalid escape sequence")),
-                    }
+                    };
+                    out.push(c);
                     // `hex4` leaves `pos` on its last digit; single-char
                     // escapes leave it on the escape letter. Advance past it.
                     self.pos += 1;
@@ -465,19 +548,39 @@ impl<'a> Parser<'a> {
                     // chunk. Runs break only at ASCII bytes (quote,
                     // backslash, control), which never occur inside a
                     // multi-byte UTF-8 sequence, so the slice sits on char
-                    // boundaries of the (already valid UTF-8) input.
-                    let start = self.pos;
+                    // boundaries of the input.
+                    let run = self.pos;
                     while let Some(b) = self.peek() {
                         if b == b'"' || b == b'\\' || b < 0x20 {
                             break;
                         }
                         self.pos += 1;
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .expect("input is &str and runs break at ASCII bytes");
-                    out.push_str(run);
+                    if !out.is_empty() {
+                        out.push_str(&self.text[run..self.pos]);
+                    }
                 }
             }
+        }
+    }
+
+    /// Decodes the `XXXX` (and, for a high surrogate, the `\uXXXX` low half
+    /// after it) of a `\u` escape starting at `pos`.
+    fn unicode_escape(&mut self) -> Result<char, SpecError> {
+        let first = self.hex4()?;
+        if (0xD800..0xDC00).contains(&first) {
+            // High surrogate: a \uXXXX low surrogate must follow.
+            self.pos += 1; // consume the final hex digit position
+            self.keyword("\\u")
+                .map_err(|_| self.error("expected low surrogate"))?;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.error("invalid low surrogate"));
+            }
+            let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
+            char::from_u32(code).ok_or_else(|| self.error("invalid surrogate pair"))
+        } else {
+            char::from_u32(first).ok_or_else(|| self.error("invalid \\u escape"))
         }
     }
 
@@ -487,7 +590,8 @@ impl<'a> Parser<'a> {
         let mut value = 0u32;
         for i in 0..4 {
             let digit = self
-                .bytes
+                .text
+                .as_bytes()
                 .get(self.pos + i)
                 .and_then(|b| (*b as char).to_digit(16))
                 .ok_or_else(|| self.error("expected 4 hex digits in \\u escape"))?;
@@ -497,51 +601,56 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, SpecError> {
+    /// The number lexeme at `pos`, checked against the grammar only: callers
+    /// that do not read it as an integer must also check [`Reader::finite`].
+    pub(crate) fn number(&mut self) -> Result<&'a str, SpecError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.error("expected digits"));
-        }
+        self.digits("expected digits")?;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let frac_start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
-                return Err(self.error("expected digits after '.'"));
-            }
+            self.digits("expected digits after '.'")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let exp_start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return Err(self.error("expected digits in exponent"));
-            }
+            self.digits("expected digits in exponent")?;
         }
-        let lexeme = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number lexemes are ASCII")
-            .to_owned();
-        // Every lexeme must parse to a *finite* f64: Rust parses exponent
-        // overflow like `1e400` to infinity (not an error), and a non-finite
-        // value would violate the writer's finiteness contract downstream.
+        Ok(&self.text[start..self.pos])
+    }
+
+    fn digits(&mut self, missing: &str) -> Result<(), SpecError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.error(missing));
+        }
+        Ok(())
+    }
+
+    /// Every lexeme must parse to a *finite* f64: Rust parses exponent
+    /// overflow like `1e400` to infinity (not an error), and a non-finite
+    /// value would violate the writer's finiteness contract downstream.
+    pub(crate) fn finite(&self, lexeme: &str) -> Result<f64, SpecError> {
         match lexeme.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(Json::Number(lexeme)),
+            Ok(v) if v.is_finite() => Ok(v),
             _ => Err(self.error(format!("invalid or non-finite number {lexeme:?}"))),
         }
+    }
+
+    /// The text of the value at `pos`, skipped, re-encoded compactly for an
+    /// error message (the error path only).
+    pub(crate) fn describe_value(&mut self) -> Result<String, SpecError> {
+        let start = self.pos;
+        self.skip_value()?;
+        let raw = &self.text[start..self.pos];
+        Ok(parse(raw).map_or_else(|_| raw.to_owned(), |v| v.to_text()))
     }
 }
 

@@ -10,11 +10,12 @@
 //!   keys, and unsupported `version` numbers are hard errors, so a corrupted
 //!   or future-format file fails loudly instead of half-restoring a tenant;
 //! * **numeric exactness** — every `f64` (estimator means, window rings,
-//!   reward sums) travels as a shortest round-trip lexeme
-//!   ([`Json::from_f64`]) and re-parses bit-identically, which is what lets
-//!   crash recovery resume the exact learning trajectory;
-//! * **no new dependencies** — the hand-rolled [`crate::json`] codec over
-//!   `std` only.
+//!   reward sums) travels as a shortest round-trip lexeme and re-parses
+//!   bit-identically, which is what lets crash recovery resume the exact
+//!   learning trajectory;
+//! * **no new dependencies** — the same field tables ([`crate::codec`]) over
+//!   `std` only: records and snapshots encode straight into the store's
+//!   reused frame and file buffers ([`WalRecord::write_json`]).
 //!
 //! Framing (length prefixes, CRCs, fsync batching, torn-tail handling) is
 //! storage business and lives in `netband-store`; this module is just the
@@ -35,14 +36,10 @@
 
 use netband_core::PolicyState;
 
-use crate::codec::{
-    get_bool, get_f64, get_f64_array, get_str, get_u64, scenario_from_json, scenario_to_json,
-    tag_of, tagged, Obj,
-};
+use crate::codec::{object, tagged, text_entry_points, version_gate};
 use crate::error::SpecError;
-use crate::json::{parse, Json};
 use crate::model::ScenarioSpec;
-use crate::wire::{event_from_json, event_to_json, WireEvent};
+use crate::wire::WireEvent;
 
 /// Version stamp of the durable-state document format. Bump when a field
 /// changes meaning; decoding any other version is a hard error
@@ -193,432 +190,99 @@ pub enum WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// scalar helpers on top of the codec's strict-object reader
+// field tables
 // ---------------------------------------------------------------------------
 
-fn u64_array_json(values: &[u64]) -> Json {
-    Json::Array(values.iter().map(|&v| Json::from_u64(v)).collect())
-}
+// The `rng` key is omitted entirely (not emitted as `null`) when the policy
+// keeps no generator, so re-encoding a decoded document is byte-identical.
+object!(PolicyState as "PolicyState" {
+    "counts" => counts: Vec<Vec<u64>>,
+    "floats" => floats: Vec<Vec<f64>>,
+    "windows" => windows: Vec<Vec<f64>>,
+    "rng" => rng: Option<[u64; 4]> [omit],
+});
 
-fn f64_array_json(values: &[f64]) -> Json {
-    Json::Array(values.iter().map(|&v| Json::from_f64(v)).collect())
-}
+object!(StoredTenantMetrics as "StoredTenantMetrics" {
+    "decides" => decides: u64,
+    "feedback_events" => feedback_events: u64,
+    "batches_flushed" => batches_flushed: u64,
+    "events_applied" => events_applied: u64,
+    "max_batch" => max_batch: u64,
+});
 
-fn get_u64_array(value: &Json, ctx: &'static str) -> Result<Vec<u64>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of non-negative integers".into(),
-    })?;
-    items.iter().map(|item| get_u64(item, ctx)).collect()
-}
+object!(((u64, WireEvent)) as "stored pending entry" [(round, event)] {
+    "round" => round: u64,
+    "event" => event: WireEvent,
+});
 
-fn nested_u64_json(rows: &[Vec<u64>]) -> Json {
-    Json::Array(rows.iter().map(|row| u64_array_json(row)).collect())
-}
+object!(StoredTenantSnapshot as "StoredTenantSnapshot" {
+    "version" => version: u64 [gate version_gate::<STORE_VERSION>],
+    "id" => id: String,
+    "scenario" => scenario: Box<ScenarioSpec>,
+    "round" => round: u64,
+    "optimal_sum" => optimal_sum: f64,
+    "total_reward" => total_reward: f64,
+    "flush_max_pending" => flush_max_pending: u64,
+    "flush_before_decide" => flush_before_decide: bool,
+    "auto_feedback" => auto_feedback: bool,
+    "echo_feedback" => echo_feedback: bool,
+    "rng" => rng: [u64; 4],
+    "policy" => policy: PolicyState,
+    "pending" => pending: Vec<(u64, WireEvent)>,
+    "metrics" => metrics: StoredTenantMetrics,
+} then served_rounds_only);
 
-fn nested_f64_json(rows: &[Vec<f64>]) -> Json {
-    Json::Array(rows.iter().map(|row| f64_array_json(row)).collect())
-}
-
-fn get_nested_u64(value: &Json, ctx: &'static str) -> Result<Vec<Vec<u64>>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of integer arrays".into(),
-    })?;
-    items.iter().map(|item| get_u64_array(item, ctx)).collect()
-}
-
-fn get_nested_f64(value: &Json, ctx: &'static str) -> Result<Vec<Vec<f64>>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of number arrays".into(),
-    })?;
-    items.iter().map(|item| get_f64_array(item, ctx)).collect()
-}
-
-fn rng_json(words: &[u64; 4]) -> Json {
-    u64_array_json(words)
-}
-
-fn get_rng(value: &Json, ctx: &'static str) -> Result<[u64; 4], SpecError> {
-    let words = get_u64_array(value, ctx)?;
-    <[u64; 4]>::try_from(words).map_err(|words| SpecError::Invalid {
-        context: ctx,
-        message: format!("rng state must be 4 words, got {}", words.len()),
-    })
-}
-
-fn check_version(found: u64) -> Result<(), SpecError> {
-    if found != STORE_VERSION {
-        return Err(SpecError::UnsupportedVersion {
-            found,
-            supported: STORE_VERSION,
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// PolicyState
-// ---------------------------------------------------------------------------
-
-/// Encodes a policy's learned-state bag. The `rng` key is omitted entirely
-/// (not emitted as `null`) when the policy keeps no generator, so re-encoding
-/// a decoded document is byte-identical.
-pub fn policy_state_to_json(state: &PolicyState) -> Json {
-    let mut fields = vec![
-        ("counts".into(), nested_u64_json(&state.counts)),
-        ("floats".into(), nested_f64_json(&state.floats)),
-        ("windows".into(), nested_f64_json(&state.windows)),
-    ];
-    if let Some(rng) = &state.rng {
-        fields.push(("rng".into(), rng_json(rng)));
-    }
-    Json::Object(fields)
-}
-
-/// Decodes a policy's learned-state bag (strict).
-pub fn policy_state_from_json(value: &Json) -> Result<PolicyState, SpecError> {
-    const CTX: &str = "PolicyState";
-    let mut obj = Obj::new(value, CTX)?;
-    let state = PolicyState {
-        counts: get_nested_u64(obj.req("counts")?, CTX)?,
-        floats: get_nested_f64(obj.req("floats")?, CTX)?,
-        windows: get_nested_f64(obj.req("windows")?, CTX)?,
-        rng: obj.opt("rng").map(|v| get_rng(v, CTX)).transpose()?,
-    };
-    obj.finish()?;
-    Ok(state)
-}
-
-// ---------------------------------------------------------------------------
-// StoredTenantMetrics
-// ---------------------------------------------------------------------------
-
-fn metrics_to_json(metrics: &StoredTenantMetrics) -> Json {
-    Json::Object(vec![
-        ("decides".into(), Json::from_u64(metrics.decides)),
-        (
-            "feedback_events".into(),
-            Json::from_u64(metrics.feedback_events),
-        ),
-        (
-            "batches_flushed".into(),
-            Json::from_u64(metrics.batches_flushed),
-        ),
-        (
-            "events_applied".into(),
-            Json::from_u64(metrics.events_applied),
-        ),
-        ("max_batch".into(), Json::from_u64(metrics.max_batch)),
-    ])
-}
-
-fn metrics_from_json(value: &Json) -> Result<StoredTenantMetrics, SpecError> {
-    const CTX: &str = "StoredTenantMetrics";
-    let mut obj = Obj::new(value, CTX)?;
-    let metrics = StoredTenantMetrics {
-        decides: get_u64(obj.req("decides")?, CTX)?,
-        feedback_events: get_u64(obj.req("feedback_events")?, CTX)?,
-        batches_flushed: get_u64(obj.req("batches_flushed")?, CTX)?,
-        events_applied: get_u64(obj.req("events_applied")?, CTX)?,
-        max_batch: get_u64(obj.req("max_batch")?, CTX)?,
-    };
-    obj.finish()?;
-    Ok(metrics)
-}
-
-// ---------------------------------------------------------------------------
-// StoredTenantSnapshot
-// ---------------------------------------------------------------------------
-
-/// Encodes one tenant's durable state.
-pub fn snapshot_to_json(snapshot: &StoredTenantSnapshot) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(snapshot.version)),
-        ("id".into(), Json::String(snapshot.id.clone())),
-        ("scenario".into(), scenario_to_json(&snapshot.scenario)),
-        ("round".into(), Json::from_u64(snapshot.round)),
-        ("optimal_sum".into(), Json::from_f64(snapshot.optimal_sum)),
-        ("total_reward".into(), Json::from_f64(snapshot.total_reward)),
-        (
-            "flush_max_pending".into(),
-            Json::from_u64(snapshot.flush_max_pending),
-        ),
-        (
-            "flush_before_decide".into(),
-            Json::Bool(snapshot.flush_before_decide),
-        ),
-        ("auto_feedback".into(), Json::Bool(snapshot.auto_feedback)),
-        ("echo_feedback".into(), Json::Bool(snapshot.echo_feedback)),
-        ("rng".into(), rng_json(&snapshot.rng)),
-        ("policy".into(), policy_state_to_json(&snapshot.policy)),
-        (
-            "pending".into(),
-            Json::Array(
-                snapshot
-                    .pending
-                    .iter()
-                    .map(|(round, event)| {
-                        Json::Object(vec![
-                            ("round".into(), Json::from_u64(*round)),
-                            ("event".into(), event_to_json(event)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("metrics".into(), metrics_to_json(&snapshot.metrics)),
-    ])
-}
-
-/// Decodes one tenant's durable state (strict). Beyond schema checks, the
-/// cross-field invariant a well-formed snapshot always satisfies is enforced
-/// here, so silent corruption that survives the CRC still fails loudly:
-/// every pending event must quote a served round.
-pub fn snapshot_from_json(value: &Json) -> Result<StoredTenantSnapshot, SpecError> {
-    const CTX: &str = "StoredTenantSnapshot";
-    let mut obj = Obj::new(value, CTX)?;
-    // The version gate comes first so documents from a future schema fail
-    // with `UnsupportedVersion` before any stricter field check confuses
-    // the matter.
-    let version = get_u64(obj.req("version")?, CTX)?;
-    check_version(version)?;
-    let id = get_str(obj.req("id")?, CTX)?.to_owned();
-    let scenario = Box::new(scenario_from_json(obj.req("scenario")?)?);
-    let round = get_u64(obj.req("round")?, CTX)?;
-    let snapshot = StoredTenantSnapshot {
-        version,
-        id,
-        scenario,
-        round,
-        optimal_sum: get_f64(obj.req("optimal_sum")?, CTX)?,
-        total_reward: get_f64(obj.req("total_reward")?, CTX)?,
-        flush_max_pending: get_u64(obj.req("flush_max_pending")?, CTX)?,
-        flush_before_decide: get_bool(obj.req("flush_before_decide")?, CTX)?,
-        auto_feedback: get_bool(obj.req("auto_feedback")?, CTX)?,
-        echo_feedback: get_bool(obj.req("echo_feedback")?, CTX)?,
-        rng: get_rng(obj.req("rng")?, CTX)?,
-        policy: policy_state_from_json(obj.req("policy")?)?,
-        pending: {
-            let items = obj.req("pending")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of pending feedback entries".into(),
-            })?;
-            items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "stored pending entry")?;
-                    let round = get_u64(entry.req("round")?, "stored pending entry")?;
-                    let event = event_from_json(entry.req("event")?)?;
-                    entry.finish()?;
-                    Ok((round, event))
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?
-        },
-        metrics: metrics_from_json(obj.req("metrics")?)?,
-    };
-    obj.finish()?;
-    for &(round, _) in &snapshot.pending {
-        if round == 0 || round > snapshot.round {
-            return Err(SpecError::Invalid {
-                context: CTX,
-                message: format!(
-                    "pending feedback quotes round {round}, but only {} rounds were served",
-                    snapshot.round
-                ),
-            });
-        }
-    }
-    Ok(snapshot)
-}
-
-// ---------------------------------------------------------------------------
-// ShardSnapshot
-// ---------------------------------------------------------------------------
-
-/// Encodes a shard checkpoint.
-pub fn shard_snapshot_to_json(snapshot: &ShardSnapshot) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::from_u64(snapshot.version)),
-        ("epoch".into(), Json::from_u64(snapshot.epoch)),
-        (
-            "tenants".into(),
-            Json::Array(snapshot.tenants.iter().map(snapshot_to_json).collect()),
-        ),
-    ])
-}
-
-/// Decodes a shard checkpoint (strict).
-pub fn shard_snapshot_from_json(value: &Json) -> Result<ShardSnapshot, SpecError> {
-    const CTX: &str = "ShardSnapshot";
-    let mut obj = Obj::new(value, CTX)?;
-    let version = get_u64(obj.req("version")?, CTX)?;
-    check_version(version)?;
-    let epoch = get_u64(obj.req("epoch")?, CTX)?;
-    let items = obj.req("tenants")?.as_array().ok_or(SpecError::Invalid {
-        context: CTX,
-        message: "expected an array of tenant snapshots".into(),
-    })?;
-    let tenants = items
+/// The cross-field invariant every well-formed snapshot satisfies, checked
+/// so that silent corruption that survives the CRC still fails loudly: each
+/// pending event quotes a served round.
+fn served_rounds_only(snapshot: &StoredTenantSnapshot) -> Result<(), SpecError> {
+    match snapshot
+        .pending
         .iter()
-        .map(snapshot_from_json)
-        .collect::<Result<Vec<_>, SpecError>>()?;
-    obj.finish()?;
-    Ok(ShardSnapshot {
-        version,
-        epoch,
-        tenants,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// WalRecord
-// ---------------------------------------------------------------------------
-
-/// Encodes one WAL record.
-pub fn wal_record_to_json(record: &WalRecord) -> Json {
-    match record {
-        WalRecord::Register {
-            id,
-            scenario,
-            flush_max_pending,
-            flush_before_decide,
-            auto_feedback,
-            echo_feedback,
-        } => tagged(
-            "register",
-            vec![
-                ("id".into(), Json::String(id.clone())),
-                ("scenario".into(), scenario_to_json(scenario)),
-                (
-                    "flush_max_pending".into(),
-                    Json::from_u64(*flush_max_pending),
-                ),
-                (
-                    "flush_before_decide".into(),
-                    Json::Bool(*flush_before_decide),
-                ),
-                ("auto_feedback".into(), Json::Bool(*auto_feedback)),
-                ("echo_feedback".into(), Json::Bool(*echo_feedback)),
-            ],
-        ),
-        WalRecord::Restore { snapshot } => tagged(
-            "restore",
-            vec![("snapshot".into(), snapshot_to_json(snapshot))],
-        ),
-        WalRecord::Decide { tenant, count } => tagged(
-            "decide",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("count".into(), Json::from_u64(*count)),
-            ],
-        ),
-        WalRecord::Feedback {
-            tenant,
-            round,
-            event,
-        } => tagged(
-            "feedback",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("round".into(), Json::from_u64(*round)),
-                ("event".into(), event_to_json(event)),
-            ],
-        ),
-        WalRecord::Flush { tenant } => tagged(
-            "flush",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
-        WalRecord::Removed { tenant } => tagged(
-            "removed",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
-        WalRecord::Drain => tagged("drain", Vec::new()),
+        .find(|&&(round, _)| round == 0 || round > snapshot.round)
+    {
+        Some((round, _)) => Err(SpecError::Invalid {
+            context: "StoredTenantSnapshot",
+            message: format!(
+                "pending feedback quotes round {round}, but only {} rounds were served",
+                snapshot.round
+            ),
+        }),
+        None => Ok(()),
     }
 }
 
-/// Decodes one WAL record (strict).
-pub fn wal_record_from_json(value: &Json) -> Result<WalRecord, SpecError> {
-    const CTX: &str = "WalRecord";
-    let mut obj = Obj::new(value, CTX)?;
-    let record = match tag_of(&mut obj)? {
-        "register" => WalRecord::Register {
-            id: get_str(obj.req("id")?, CTX)?.to_owned(),
-            scenario: Box::new(scenario_from_json(obj.req("scenario")?)?),
-            flush_max_pending: get_u64(obj.req("flush_max_pending")?, CTX)?,
-            flush_before_decide: get_bool(obj.req("flush_before_decide")?, CTX)?,
-            auto_feedback: get_bool(obj.req("auto_feedback")?, CTX)?,
-            echo_feedback: get_bool(obj.req("echo_feedback")?, CTX)?,
-        },
-        "restore" => WalRecord::Restore {
-            snapshot: Box::new(snapshot_from_json(obj.req("snapshot")?)?),
-        },
-        "decide" => WalRecord::Decide {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            count: get_u64(obj.req("count")?, CTX)?,
-        },
-        "feedback" => WalRecord::Feedback {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            round: get_u64(obj.req("round")?, CTX)?,
-            event: event_from_json(obj.req("event")?)?,
-        },
-        "flush" => WalRecord::Flush {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        "removed" => WalRecord::Removed {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        "drain" => WalRecord::Drain,
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(record)
-}
+object!(ShardSnapshot as "ShardSnapshot" {
+    "version" => version: u64 [gate version_gate::<STORE_VERSION>],
+    "epoch" => epoch: u64,
+    "tenants" => tenants: Vec<StoredTenantSnapshot>,
+});
 
-// ---------------------------------------------------------------------------
-// text entry points
-// ---------------------------------------------------------------------------
+tagged!(WalRecord as "WalRecord" {
+    "register" => Register {
+        "id" => id: String,
+        "scenario" => scenario: Box<ScenarioSpec>,
+        "flush_max_pending" => flush_max_pending: u64,
+        "flush_before_decide" => flush_before_decide: bool,
+        "auto_feedback" => auto_feedback: bool,
+        "echo_feedback" => echo_feedback: bool
+    },
+    "restore" => Restore { "snapshot" => snapshot: Box<StoredTenantSnapshot> },
+    "decide" => Decide { "tenant" => tenant: String, "count" => count: u64 },
+    "feedback" => Feedback {
+        "tenant" => tenant: String,
+        "round" => round: u64,
+        "event" => event: WireEvent
+    },
+    "flush" => Flush { "tenant" => tenant: String },
+    "removed" => Removed { "tenant" => tenant: String },
+    "drain" => Drain {},
+});
 
-impl StoredTenantSnapshot {
-    /// Encodes the snapshot to a compact JSON document.
-    pub fn to_json_text(&self) -> String {
-        snapshot_to_json(self).to_text()
-    }
-
-    /// Decodes a snapshot from JSON text (strict).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        snapshot_from_json(&parse(text)?)
-    }
-}
-
-impl ShardSnapshot {
-    /// Encodes the checkpoint to a compact JSON document.
-    pub fn to_json_text(&self) -> String {
-        shard_snapshot_to_json(self).to_text()
-    }
-
-    /// Decodes a checkpoint from JSON text (strict).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        shard_snapshot_from_json(&parse(text)?)
-    }
-}
-
-impl WalRecord {
-    /// Encodes the record to a compact JSON document.
-    pub fn to_json_text(&self) -> String {
-        wal_record_to_json(self).to_text()
-    }
-
-    /// Decodes a record from JSON text (strict).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        wal_record_from_json(&parse(text)?)
-    }
+text_entry_points! {
+    StoredTenantSnapshot: "tenant snapshot";
+    ShardSnapshot: "shard checkpoint";
+    WalRecord: "WAL record";
 }
 
 #[cfg(test)]
@@ -769,10 +433,11 @@ mod tests {
             windows: vec![],
             rng: None,
         };
-        let text = policy_state_to_json(&state).to_text();
-        assert!(!text.contains("rng"), "{text}");
+        let mut text = String::new();
+        crate::codec::Codec::encode(&state, &mut text);
+        assert_eq!(text, r#"{"counts":[[1]],"floats":[],"windows":[]}"#);
         assert_eq!(
-            policy_state_from_json(&parse(&text).unwrap()).unwrap(),
+            crate::codec::decode_text::<PolicyState>(&text).unwrap(),
             state
         );
     }

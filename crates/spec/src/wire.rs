@@ -8,11 +8,12 @@
 //!   duplicate keys are hard errors (a typo'd request fails loudly instead of
 //!   silently decoding to something else);
 //! * **numeric exactness** — `f64` rewards travel as shortest round-trip
-//!   lexemes ([`Json::from_f64`]) and therefore arrive bit-identical, which
-//!   is what lets `tests/net_equivalence.rs` hold a TCP client to the golden
-//!   DFL traces bit for bit;
-//! * **no new dependencies** — the same hand-rolled [`crate::json`] codec,
-//!   over `std` only.
+//!   lexemes and therefore arrive bit-identical, which is what lets
+//!   `tests/net_equivalence.rs` hold a TCP client to the golden DFL traces
+//!   bit for bit;
+//! * **no new dependencies** — the same field tables ([`crate::codec`]) over
+//!   `std` only: requests and responses decode straight from the frame text
+//!   and encode straight into the caller's buffer ([`WireResponse::write_json`]).
 //!
 //! One request document maps to exactly one response document. Framing
 //! (length prefixes, size limits, connection lifecycle) is transport business
@@ -33,12 +34,9 @@
 
 use netband_env::{CombinatorialFeedback, SinglePlayFeedback};
 
-use crate::codec::{
-    get_bool, get_f64, get_str, get_u64, get_usize, scenario_from_json, scenario_to_json, tag_of,
-    tagged, Obj,
-};
+use crate::codec::{object, tagged, text_entry_points, tokens};
 use crate::error::SpecError;
-use crate::json::{parse, Json};
+use crate::json::Json;
 use crate::model::ScenarioSpec;
 use crate::ArmId;
 
@@ -263,37 +261,20 @@ pub enum WireErrorCode {
 impl WireErrorCode {
     /// The wire token for this code.
     pub fn as_str(self) -> &'static str {
-        match self {
-            WireErrorCode::Overloaded => "overloaded",
-            WireErrorCode::TooLarge => "too_large",
-            WireErrorCode::UnknownTenant => "unknown_tenant",
-            WireErrorCode::DuplicateTenant => "duplicate_tenant",
-            WireErrorCode::Spec => "spec",
-            WireErrorCode::Invalid => "invalid",
-            WireErrorCode::EngineDown => "engine_down",
-            WireErrorCode::Protocol => "protocol",
-        }
-    }
-
-    fn from_str(token: &str) -> Result<Self, SpecError> {
-        Ok(match token {
-            "overloaded" => WireErrorCode::Overloaded,
-            "too_large" => WireErrorCode::TooLarge,
-            "unknown_tenant" => WireErrorCode::UnknownTenant,
-            "duplicate_tenant" => WireErrorCode::DuplicateTenant,
-            "spec" => WireErrorCode::Spec,
-            "invalid" => WireErrorCode::Invalid,
-            "engine_down" => WireErrorCode::EngineDown,
-            "protocol" => WireErrorCode::Protocol,
-            other => {
-                return Err(SpecError::UnknownVariant {
-                    context: "wire error code",
-                    variant: other.to_owned(),
-                })
-            }
-        })
+        self.token()
     }
 }
+
+tokens!(WireErrorCode as "wire error code" {
+    "overloaded" => Overloaded,
+    "too_large" => TooLarge,
+    "unknown_tenant" => UnknownTenant,
+    "duplicate_tenant" => DuplicateTenant,
+    "spec" => Spec,
+    "invalid" => Invalid,
+    "engine_down" => EngineDown,
+    "protocol" => Protocol,
+});
 
 impl std::fmt::Display for WireErrorCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -302,485 +283,121 @@ impl std::fmt::Display for WireErrorCode {
 }
 
 // ---------------------------------------------------------------------------
-// text entry points
+// field tables
 // ---------------------------------------------------------------------------
 
-impl WireRequest {
-    /// Encodes the request to a compact JSON document.
-    pub fn to_json_text(&self) -> String {
-        request_to_json(self).to_text()
-    }
+object!(SinglePlayFeedback as "wire feedback event" {
+    "arm" => arm: usize,
+    "direct_reward" => direct_reward: f64,
+    "side_reward" => side_reward: f64,
+    "observations" => observations: Vec<(usize, f64)>,
+});
 
-    /// Decodes a request from JSON text (strict: unknown fields are errors).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        request_from_json(&parse(text)?)
-    }
+object!(CombinatorialFeedback as "wire feedback event" {
+    "strategy" => strategy: Vec<usize>,
+    "observation_set" => observation_set: Vec<usize>,
+    "direct_reward" => direct_reward: f64,
+    "side_reward" => side_reward: f64,
+    "observations" => observations: Vec<(usize, f64)>,
+});
+
+tagged!(WireEvent as "wire feedback event" {
+    "single" => Single(SinglePlayFeedback),
+    "combinatorial" => Combinatorial(CombinatorialFeedback),
+});
+
+object!(WireFeedback as "wire feedback entry" {
+    "round" => round: u64,
+    "event" => event: WireEvent,
+});
+
+tagged!(WireRequest as "wire request" {
+    "decide_many" => DecideMany { "tenant" => tenant: String, "count" => count: u32 },
+    "feedback_many" => FeedbackMany {
+        "tenant" => tenant: String,
+        "events" => events: Vec<WireFeedback>
+    },
+    "register_tenant" => RegisterTenant {
+        "id" => id: String,
+        "scenario" => scenario: Box<ScenarioSpec>
+    },
+    "metrics" => Metrics {},
+    "telemetry" => Telemetry { "tenant" => tenant: String },
+});
+
+tagged!(WireDecision as "wire decision" {
+    "arm" => Arm("arm": usize),
+    "strategy" => Strategy("arms": Vec<usize>),
+});
+
+// `feedback: None` encodes as `null`; decoding also accepts the key's
+// omission.
+object!(WireReply as "wire decide reply" {
+    "round" => round: u64,
+    "decision" => decision: WireDecision,
+    "reward" => reward: f64,
+    "feedback" => feedback: Option<WireEvent>,
+});
+
+object!(WireLatency as "wire latency" {
+    "p50_ns" => p50_ns: u64,
+    "p50_exact" => p50_exact: bool,
+    "p99_ns" => p99_ns: u64,
+    "p99_exact" => p99_exact: bool,
+});
+
+object!(WireMetrics as "wire response" {
+    "shards" => shards: u64,
+    "tenants" => tenants: u64,
+    "total_decides" => total_decides: u64,
+    "total_feedback_events" => total_feedback_events: u64,
+    "rejected" => rejected: u64,
+    "overload_rejections" => overload_rejections: u64,
+    "decide_latency" => decide_latency: WireLatency,
+    "feedback_latency" => feedback_latency: WireLatency,
+});
+
+object!(WireArmStat as "wire arm stat" {
+    "arm" => arm: usize,
+    "pulls" => pulls: u64,
+    "mean" => mean: f64,
+});
+
+object!(WireTelemetry as "wire response" {
+    "tenant" => tenant: String,
+    "policy" => policy: String,
+    "round" => round: u64,
+    "pending_feedback" => pending_feedback: u64,
+    "decides" => decides: u64,
+    "feedback_events" => feedback_events: u64,
+    "total_reward" => total_reward: f64,
+    "optimal_reward" => optimal_reward: f64,
+    "regret" => regret: f64,
+    "arms" => arms: Vec<WireArmStat>,
+});
+
+tagged!(WireResponse as "wire response" {
+    "decisions" => Decisions {
+        "tenant" => tenant: String,
+        "replies" => replies: Vec<WireReply>
+    },
+    "ok" => Ok {},
+    "accepted" => Accepted { "count" => count: u64 },
+    "metrics" => Metrics(WireMetrics),
+    "telemetry" => Telemetry(Box<WireTelemetry>),
+    "error" => Error { "code" => code: WireErrorCode, "message" => message: String },
+});
+
+text_entry_points! {
+    WireRequest: "request";
+    WireResponse: "response";
 }
 
-impl WireResponse {
-    /// Encodes the response to a compact JSON document.
-    pub fn to_json_text(&self) -> String {
-        response_to_json(self).to_text()
-    }
-
-    /// Decodes a response from JSON text (strict: unknown fields are errors).
-    pub fn from_json_text(text: &str) -> Result<Self, SpecError> {
-        response_from_json(&parse(text)?)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// scalar helpers on top of the codec's strict-object reader
-// ---------------------------------------------------------------------------
-
-fn get_u32(value: &Json, ctx: &'static str) -> Result<u32, SpecError> {
-    let v = get_u64(value, ctx)?;
-    u32::try_from(v).map_err(|_| SpecError::Invalid {
-        context: ctx,
-        message: format!("{v} does not fit in u32"),
-    })
-}
-
-fn arms_json(arms: &[ArmId]) -> Json {
-    Json::Array(arms.iter().map(|&a| Json::from_u64(a as u64)).collect())
-}
-
-fn get_arms(value: &Json, ctx: &'static str) -> Result<Vec<ArmId>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of arm ids".into(),
-    })?;
-    items.iter().map(|item| get_usize(item, ctx)).collect()
-}
-
-fn observations_json(observations: &[(ArmId, f64)]) -> Json {
-    Json::Array(
-        observations
-            .iter()
-            .map(|&(arm, x)| Json::Array(vec![Json::from_u64(arm as u64), Json::from_f64(x)]))
-            .collect(),
-    )
-}
-
-fn get_observations(value: &Json, ctx: &'static str) -> Result<Vec<(ArmId, f64)>, SpecError> {
-    let items = value.as_array().ok_or(SpecError::Invalid {
-        context: ctx,
-        message: "expected an array of [arm, reward] pairs".into(),
-    })?;
-    items
-        .iter()
-        .map(|item| {
-            let pair =
-                item.as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| SpecError::Invalid {
-                        context: ctx,
-                        message: format!("expected a 2-element array, got {}", item.to_text()),
-                    })?;
-            Ok((get_usize(&pair[0], ctx)?, get_f64(&pair[1], ctx)?))
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// events
-// ---------------------------------------------------------------------------
-
-/// Encodes one feedback event body.
-pub fn event_to_json(event: &WireEvent) -> Json {
-    match event {
-        WireEvent::Single(f) => tagged(
-            "single",
-            vec![
-                ("arm".into(), Json::from_u64(f.arm as u64)),
-                ("direct_reward".into(), Json::from_f64(f.direct_reward)),
-                ("side_reward".into(), Json::from_f64(f.side_reward)),
-                ("observations".into(), observations_json(&f.observations)),
-            ],
-        ),
-        WireEvent::Combinatorial(f) => tagged(
-            "combinatorial",
-            vec![
-                ("strategy".into(), arms_json(&f.strategy)),
-                ("observation_set".into(), arms_json(&f.observation_set)),
-                ("direct_reward".into(), Json::from_f64(f.direct_reward)),
-                ("side_reward".into(), Json::from_f64(f.side_reward)),
-                ("observations".into(), observations_json(&f.observations)),
-            ],
-        ),
-    }
-}
-
-/// Decodes one feedback event body (strict).
-pub fn event_from_json(value: &Json) -> Result<WireEvent, SpecError> {
-    const CTX: &str = "wire feedback event";
-    let mut obj = Obj::new(value, CTX)?;
-    let event = match tag_of(&mut obj)? {
-        "single" => WireEvent::Single(SinglePlayFeedback {
-            arm: get_usize(obj.req("arm")?, CTX)?,
-            direct_reward: get_f64(obj.req("direct_reward")?, CTX)?,
-            side_reward: get_f64(obj.req("side_reward")?, CTX)?,
-            observations: get_observations(obj.req("observations")?, CTX)?,
-        }),
-        "combinatorial" => WireEvent::Combinatorial(CombinatorialFeedback {
-            strategy: get_arms(obj.req("strategy")?, CTX)?,
-            observation_set: get_arms(obj.req("observation_set")?, CTX)?,
-            direct_reward: get_f64(obj.req("direct_reward")?, CTX)?,
-            side_reward: get_f64(obj.req("side_reward")?, CTX)?,
-            observations: get_observations(obj.req("observations")?, CTX)?,
-        }),
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(event)
-}
-
-// ---------------------------------------------------------------------------
-// requests
-// ---------------------------------------------------------------------------
-
-/// Encodes a request document.
-pub fn request_to_json(request: &WireRequest) -> Json {
-    match request {
-        WireRequest::DecideMany { tenant, count } => tagged(
-            "decide_many",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                ("count".into(), Json::from_u64(u64::from(*count))),
-            ],
-        ),
-        WireRequest::FeedbackMany { tenant, events } => tagged(
-            "feedback_many",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                (
-                    "events".into(),
-                    Json::Array(
-                        events
-                            .iter()
-                            .map(|e| {
-                                Json::Object(vec![
-                                    ("round".into(), Json::from_u64(e.round)),
-                                    ("event".into(), event_to_json(&e.event)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        WireRequest::RegisterTenant { id, scenario } => tagged(
-            "register_tenant",
-            vec![
-                ("id".into(), Json::String(id.clone())),
-                ("scenario".into(), scenario_to_json(scenario)),
-            ],
-        ),
-        WireRequest::Metrics => tagged("metrics", Vec::new()),
-        WireRequest::Telemetry { tenant } => tagged(
-            "telemetry",
-            vec![("tenant".into(), Json::String(tenant.clone()))],
-        ),
-    }
-}
-
-/// Decodes a request document (strict).
+/// Decodes a request document already parsed into a tree (strict). The
+/// tree's compact text goes through the same decoder as
+/// [`WireRequest::from_json_text`].
 pub fn request_from_json(value: &Json) -> Result<WireRequest, SpecError> {
-    const CTX: &str = "wire request";
-    let mut obj = Obj::new(value, CTX)?;
-    let request = match tag_of(&mut obj)? {
-        "decide_many" => WireRequest::DecideMany {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-            count: get_u32(obj.req("count")?, CTX)?,
-        },
-        "feedback_many" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let items = obj.req("events")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of feedback events".into(),
-            })?;
-            let events = items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "wire feedback entry")?;
-                    let round = get_u64(entry.req("round")?, "wire feedback entry")?;
-                    let event = event_from_json(entry.req("event")?)?;
-                    entry.finish()?;
-                    Ok(WireFeedback { round, event })
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireRequest::FeedbackMany { tenant, events }
-        }
-        "register_tenant" => WireRequest::RegisterTenant {
-            id: get_str(obj.req("id")?, CTX)?.to_owned(),
-            scenario: Box::new(scenario_from_json(obj.req("scenario")?)?),
-        },
-        "metrics" => WireRequest::Metrics,
-        "telemetry" => WireRequest::Telemetry {
-            tenant: get_str(obj.req("tenant")?, CTX)?.to_owned(),
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(request)
-}
-
-// ---------------------------------------------------------------------------
-// responses
-// ---------------------------------------------------------------------------
-
-fn latency_json(latency: &WireLatency) -> Json {
-    Json::Object(vec![
-        ("p50_ns".into(), Json::from_u64(latency.p50_ns)),
-        ("p50_exact".into(), Json::Bool(latency.p50_exact)),
-        ("p99_ns".into(), Json::from_u64(latency.p99_ns)),
-        ("p99_exact".into(), Json::Bool(latency.p99_exact)),
-    ])
-}
-
-fn latency_from_json(value: &Json) -> Result<WireLatency, SpecError> {
-    const CTX: &str = "wire latency";
-    let mut obj = Obj::new(value, CTX)?;
-    let latency = WireLatency {
-        p50_ns: get_u64(obj.req("p50_ns")?, CTX)?,
-        p50_exact: get_bool(obj.req("p50_exact")?, CTX)?,
-        p99_ns: get_u64(obj.req("p99_ns")?, CTX)?,
-        p99_exact: get_bool(obj.req("p99_exact")?, CTX)?,
-    };
-    obj.finish()?;
-    Ok(latency)
-}
-
-fn decision_json(decision: &WireDecision) -> Json {
-    match decision {
-        WireDecision::Arm(arm) => tagged("arm", vec![("arm".into(), Json::from_u64(*arm as u64))]),
-        WireDecision::Strategy(arms) => tagged("strategy", vec![("arms".into(), arms_json(arms))]),
-    }
-}
-
-fn decision_from_json(value: &Json) -> Result<WireDecision, SpecError> {
-    const CTX: &str = "wire decision";
-    let mut obj = Obj::new(value, CTX)?;
-    let decision = match tag_of(&mut obj)? {
-        "arm" => WireDecision::Arm(get_usize(obj.req("arm")?, CTX)?),
-        "strategy" => WireDecision::Strategy(get_arms(obj.req("arms")?, CTX)?),
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(decision)
-}
-
-fn reply_json(reply: &WireReply) -> Json {
-    Json::Object(vec![
-        ("round".into(), Json::from_u64(reply.round)),
-        ("decision".into(), decision_json(&reply.decision)),
-        ("reward".into(), Json::from_f64(reply.reward)),
-        (
-            "feedback".into(),
-            match &reply.feedback {
-                Some(event) => event_to_json(event),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn reply_from_json(value: &Json) -> Result<WireReply, SpecError> {
-    const CTX: &str = "wire decide reply";
-    let mut obj = Obj::new(value, CTX)?;
-    let round = get_u64(obj.req("round")?, CTX)?;
-    let decision = decision_from_json(obj.req("decision")?)?;
-    let reward = get_f64(obj.req("reward")?, CTX)?;
-    // `opt` treats JSON null as absent, which is exactly the encoding of
-    // `feedback: None` — but the key itself stays mandatory in spirit; we
-    // accept both null and omission for forward ergonomics.
-    let feedback = obj.opt("feedback").map(event_from_json).transpose()?;
-    obj.finish()?;
-    Ok(WireReply {
-        round,
-        decision,
-        reward,
-        feedback,
-    })
-}
-
-/// Encodes a response document.
-pub fn response_to_json(response: &WireResponse) -> Json {
-    match response {
-        WireResponse::Decisions { tenant, replies } => tagged(
-            "decisions",
-            vec![
-                ("tenant".into(), Json::String(tenant.clone())),
-                (
-                    "replies".into(),
-                    Json::Array(replies.iter().map(reply_json).collect()),
-                ),
-            ],
-        ),
-        WireResponse::Ok => tagged("ok", Vec::new()),
-        WireResponse::Accepted { count } => {
-            tagged("accepted", vec![("count".into(), Json::from_u64(*count))])
-        }
-        WireResponse::Metrics(m) => tagged(
-            "metrics",
-            vec![
-                ("shards".into(), Json::from_u64(m.shards)),
-                ("tenants".into(), Json::from_u64(m.tenants)),
-                ("total_decides".into(), Json::from_u64(m.total_decides)),
-                (
-                    "total_feedback_events".into(),
-                    Json::from_u64(m.total_feedback_events),
-                ),
-                ("rejected".into(), Json::from_u64(m.rejected)),
-                (
-                    "overload_rejections".into(),
-                    Json::from_u64(m.overload_rejections),
-                ),
-                ("decide_latency".into(), latency_json(&m.decide_latency)),
-                ("feedback_latency".into(), latency_json(&m.feedback_latency)),
-            ],
-        ),
-        WireResponse::Telemetry(t) => tagged(
-            "telemetry",
-            vec![
-                ("tenant".into(), Json::String(t.tenant.clone())),
-                ("policy".into(), Json::String(t.policy.clone())),
-                ("round".into(), Json::from_u64(t.round)),
-                (
-                    "pending_feedback".into(),
-                    Json::from_u64(t.pending_feedback),
-                ),
-                ("decides".into(), Json::from_u64(t.decides)),
-                ("feedback_events".into(), Json::from_u64(t.feedback_events)),
-                ("total_reward".into(), Json::from_f64(t.total_reward)),
-                ("optimal_reward".into(), Json::from_f64(t.optimal_reward)),
-                ("regret".into(), Json::from_f64(t.regret)),
-                (
-                    "arms".into(),
-                    Json::Array(
-                        t.arms
-                            .iter()
-                            .map(|a| {
-                                Json::Object(vec![
-                                    ("arm".into(), Json::from_u64(a.arm as u64)),
-                                    ("pulls".into(), Json::from_u64(a.pulls)),
-                                    ("mean".into(), Json::from_f64(a.mean)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        WireResponse::Error { code, message } => tagged(
-            "error",
-            vec![
-                ("code".into(), Json::String(code.as_str().to_owned())),
-                ("message".into(), Json::String(message.clone())),
-            ],
-        ),
-    }
-}
-
-/// Decodes a response document (strict).
-pub fn response_from_json(value: &Json) -> Result<WireResponse, SpecError> {
-    const CTX: &str = "wire response";
-    let mut obj = Obj::new(value, CTX)?;
-    let response = match tag_of(&mut obj)? {
-        "decisions" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let items = obj.req("replies")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of replies".into(),
-            })?;
-            let replies = items
-                .iter()
-                .map(reply_from_json)
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireResponse::Decisions { tenant, replies }
-        }
-        "ok" => WireResponse::Ok,
-        "accepted" => WireResponse::Accepted {
-            count: get_u64(obj.req("count")?, CTX)?,
-        },
-        "metrics" => WireResponse::Metrics(WireMetrics {
-            shards: get_u64(obj.req("shards")?, CTX)?,
-            tenants: get_u64(obj.req("tenants")?, CTX)?,
-            total_decides: get_u64(obj.req("total_decides")?, CTX)?,
-            total_feedback_events: get_u64(obj.req("total_feedback_events")?, CTX)?,
-            rejected: get_u64(obj.req("rejected")?, CTX)?,
-            overload_rejections: get_u64(obj.req("overload_rejections")?, CTX)?,
-            decide_latency: latency_from_json(obj.req("decide_latency")?)?,
-            feedback_latency: latency_from_json(obj.req("feedback_latency")?)?,
-        }),
-        "telemetry" => {
-            let tenant = get_str(obj.req("tenant")?, CTX)?.to_owned();
-            let policy = get_str(obj.req("policy")?, CTX)?.to_owned();
-            let round = get_u64(obj.req("round")?, CTX)?;
-            let pending_feedback = get_u64(obj.req("pending_feedback")?, CTX)?;
-            let decides = get_u64(obj.req("decides")?, CTX)?;
-            let feedback_events = get_u64(obj.req("feedback_events")?, CTX)?;
-            let total_reward = get_f64(obj.req("total_reward")?, CTX)?;
-            let optimal_reward = get_f64(obj.req("optimal_reward")?, CTX)?;
-            let regret = get_f64(obj.req("regret")?, CTX)?;
-            let items = obj.req("arms")?.as_array().ok_or(SpecError::Invalid {
-                context: CTX,
-                message: "expected an array of arm stats".into(),
-            })?;
-            let arms = items
-                .iter()
-                .map(|item| {
-                    let mut entry = Obj::new(item, "wire arm stat")?;
-                    let stat = WireArmStat {
-                        arm: get_usize(entry.req("arm")?, "wire arm stat")?,
-                        pulls: get_u64(entry.req("pulls")?, "wire arm stat")?,
-                        mean: get_f64(entry.req("mean")?, "wire arm stat")?,
-                    };
-                    entry.finish()?;
-                    Ok(stat)
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?;
-            WireResponse::Telemetry(Box::new(WireTelemetry {
-                tenant,
-                policy,
-                round,
-                pending_feedback,
-                decides,
-                feedback_events,
-                total_reward,
-                optimal_reward,
-                regret,
-                arms,
-            }))
-        }
-        "error" => WireResponse::Error {
-            code: WireErrorCode::from_str(get_str(obj.req("code")?, CTX)?)?,
-            message: get_str(obj.req("message")?, CTX)?.to_owned(),
-        },
-        other => {
-            return Err(SpecError::UnknownVariant {
-                context: CTX,
-                variant: other.to_owned(),
-            })
-        }
-    };
-    obj.finish()?;
-    Ok(response)
+    WireRequest::from_json_text(&value.to_text())
 }
 
 #[cfg(test)]
@@ -993,6 +610,37 @@ mod tests {
         }
     }
 
+    /// The tag is read first when it leads (as the encoder writes it) and by
+    /// a look-ahead otherwise; a second tag, or a syntax error anywhere, is
+    /// still an error, and the syntax error wins over the schema error.
+    #[test]
+    fn the_type_tag_may_come_anywhere_but_once() {
+        let request =
+            WireRequest::from_json_text(r#"{"tenant":"t","count":3,"type":"decide_many"}"#);
+        assert_eq!(
+            request.unwrap(),
+            WireRequest::DecideMany {
+                tenant: "t".into(),
+                count: 3
+            }
+        );
+        for (bad, expected) in [
+            (
+                r#"{"tenant":"t","type":"decide_many","count":3,"type":"decide_many"}"#,
+                "duplicate object key",
+            ),
+            (
+                r#"{"type":"decide_quickly","a":1,"a":2}"#,
+                "duplicate object key",
+            ),
+            (r#"{"type":"decide_quickly","count":1e999}"#, "non-finite"),
+            (r#"{"type":"decide_quickly","count":1}"#, "unknown variant"),
+        ] {
+            let err = WireRequest::from_json_text(bad).unwrap_err().to_string();
+            assert!(err.contains(expected), "{bad}: {err}");
+        }
+    }
+
     #[test]
     fn all_error_codes_round_trip_through_their_tokens() {
         for code in [
@@ -1005,7 +653,7 @@ mod tests {
             WireErrorCode::EngineDown,
             WireErrorCode::Protocol,
         ] {
-            assert_eq!(WireErrorCode::from_str(code.as_str()).unwrap(), code);
+            assert_eq!(WireErrorCode::from_token(code.as_str()).unwrap(), code);
         }
     }
 }

@@ -139,6 +139,8 @@ pub struct ShardStore {
     /// Records appended to the current epoch's WAL (drives compaction).
     records_this_epoch: u64,
     metrics: StoreMetrics,
+    /// The snapshot and evict-file buffer, reused write after write.
+    text: String,
 }
 
 impl ShardStore {
@@ -251,6 +253,7 @@ impl ShardStore {
                 compact_every: config.compact_every,
                 records_this_epoch,
                 metrics,
+                text: String::new(),
             },
             ShardRecovery {
                 tenants,
@@ -318,7 +321,9 @@ impl ShardStore {
                 .create_new(true)
                 .open(&tmp_path)
                 .map_err(|e| io_err("create snapshot tmp", &tmp_path, e))?;
-            tmp.write_all(snapshot.to_json_text().as_bytes())
+            self.text.clear();
+            snapshot.write_json(&mut self.text);
+            tmp.write_all(self.text.as_bytes())
                 .map_err(|e| io_err("write snapshot", &tmp_path, e))?;
             tmp.sync_all()
                 .map_err(|e| io_err("sync snapshot", &tmp_path, e))?;
@@ -360,7 +365,9 @@ impl ShardStore {
                 .truncate(true)
                 .open(&tmp_path)
                 .map_err(|e| io_err("create evict tmp", &tmp_path, e))?;
-            tmp.write_all(snapshot.to_json_text().as_bytes())
+            self.text.clear();
+            snapshot.write_json(&mut self.text);
+            tmp.write_all(self.text.as_bytes())
                 .map_err(|e| io_err("write evict file", &tmp_path, e))?;
             tmp.sync_all()
                 .map_err(|e| io_err("sync evict file", &tmp_path, e))?;

@@ -49,6 +49,9 @@ pub struct Wal {
     bytes: u64,
     /// Appends not yet covered by an fsync.
     unsynced: usize,
+    /// The frame buffer, reused append after append: each record encodes
+    /// straight into it behind a length placeholder.
+    frame: String,
 }
 
 /// What [`Wal::open`] found on disk.
@@ -83,6 +86,7 @@ impl Wal {
             file,
             bytes: 0,
             unsynced: 0,
+            frame: String::new(),
         })
     }
 
@@ -162,6 +166,7 @@ impl Wal {
                 file,
                 bytes: offset as u64,
                 unsynced: 0,
+                frame: String::new(),
             },
             WalReplay {
                 records,
@@ -173,27 +178,33 @@ impl Wal {
     /// Appends one record as a single framed write. Durability is the
     /// caller's schedule: nothing is fsynced until [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        let payload = record.to_json_text().into_bytes();
-        let len = u32::try_from(payload.len())
+        let mut text = std::mem::take(&mut self.frame);
+        text.clear();
+        text.push_str("\0\0\0\0");
+        record.write_json(&mut text);
+        let mut frame = text.into_bytes();
+        let payload_len = frame.len() - 4;
+        let len = u32::try_from(payload_len)
             .ok()
             .filter(|&l| l <= MAX_FRAME_BYTES)
             .ok_or(StoreError::Corrupt {
                 path: self.path.clone(),
                 offset: self.bytes,
                 message: format!(
-                    "record encodes to {} bytes, beyond the {MAX_FRAME_BYTES}-byte frame cap",
-                    payload.len()
+                    "record encodes to {payload_len} bytes, beyond the {MAX_FRAME_BYTES}-byte frame cap"
                 ),
             })?;
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-        frame.extend_from_slice(&len.to_be_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
+        frame[..4].copy_from_slice(&len.to_be_bytes());
+        let crc = crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_be_bytes());
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append wal frame", &self.path, e))?;
         self.bytes += frame.len() as u64;
         self.unsynced += 1;
+        // Emptied, the buffer is valid UTF-8 again and keeps its capacity.
+        frame.clear();
+        self.frame = String::from_utf8(frame).expect("an empty buffer is UTF-8");
         Ok(())
     }
 
