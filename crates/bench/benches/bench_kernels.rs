@@ -153,8 +153,8 @@ fn run_kernels(fast: bool) -> Vec<KernelRow> {
 fn run_oracles(fast: bool) -> Vec<OracleRow> {
     let mut rows = Vec::new();
 
-    // The enumerated-family argmax workload of `bench_primitives`: a fixed
-    // independent-set bank scanned with a precomputed per-arm score table.
+    // The enumerated-family argmax workload: a fixed independent-set bank
+    // scanned with a precomputed per-arm score table.
     let mut rng = StdRng::seed_from_u64(8);
     let graph = generators::erdos_renyi(18, 0.35, &mut rng);
     let bank = StrategyFamily::independent_sets(3)

@@ -1,11 +1,10 @@
 //! Serving-engine throughput bench: decides/sec across shard counts, feedback
 //! batch sizes, and client APIs (per-call vs batched).
 //!
-//! Unlike the figure benches this is a hand-rolled harness (`harness = false`
-//! with a custom `main`): the quantity of interest is sustained multi-client
-//! throughput through the shard command channels, which needs concurrent
-//! client threads and wall-clock measurement rather than Criterion's
-//! single-threaded sampling.
+//! A hand-rolled harness (`harness = false` with a custom `main`): the
+//! quantity of interest is sustained multi-client throughput through the
+//! shard command channels, which needs concurrent client threads and
+//! wall-clock measurement.
 //!
 //! Every run sweeps the shard counts {1, 4, 16} against feedback batch sizes
 //! {1, 32, 1024} over 64 single-play tenants driven by 16 client threads with

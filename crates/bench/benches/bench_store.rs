@@ -2,8 +2,7 @@
 //! recovery time as a function of WAL length.
 //!
 //! Like `bench_serve` this is a hand-rolled harness (`harness = false`): the
-//! quantities of interest are wall-clock file-system rates, not Criterion's
-//! statistical sampling of a pure function.
+//! quantities of interest are wall-clock file-system rates.
 //!
 //! Two sweeps:
 //!

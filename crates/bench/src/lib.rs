@@ -1,17 +1,5 @@
-//! Shared helpers for the Criterion benchmarks.
-//!
-//! Each bench regenerates one of the paper's figures at a reduced scale (so a
-//! full `cargo bench` stays in the minutes range) and reports the wall-clock
-//! cost of the corresponding simulation; the figure-quality runs are produced by
-//! the `netband-experiments` binaries instead.
-
-use netband_experiments::Scale;
-
-/// The scale used by the figure benches: large enough for the regret trends to
-/// be visible, small enough for Criterion's repeated sampling.
-pub fn bench_scale() -> Scale {
-    Scale {
-        horizon: 300,
-        replications: 1,
-    }
-}
+//! The workspace's benchmark harnesses live under `benches/`: hand-rolled
+//! wall-clock loops over the score kernels (`bench_kernels`), the serving
+//! engine (`bench_serve`) and the durable store (`bench_store`), each of
+//! which writes its committed `BENCH_*.json` at the workspace root. This
+//! library target is empty; it exists because a package needs one.

@@ -63,6 +63,7 @@ pub fn error_to_wire(error: &ServeError) -> (WireErrorCode, String) {
         ServeError::Env(_)
         | ServeError::FeedbackKindMismatch(_)
         | ServeError::InvalidRound { .. }
+        | ServeError::OutOfSupport { .. }
         | ServeError::InvalidFlushPolicy { .. }
         | ServeError::Store(_)
         | ServeError::NotPersistable(_) => WireErrorCode::Invalid,

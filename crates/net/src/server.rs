@@ -39,7 +39,7 @@ use std::thread;
 use netband_serve::api::RegisterTenantSpec;
 use netband_serve::api::{DecideReply, ServeError};
 use netband_serve::{ServeClient, ServeEngine};
-use netband_spec::wire::{WireErrorCode, WireEvent, WireRequest, WireResponse};
+use netband_spec::wire::{WireErrorCode, WireRequest, WireResponse};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::obs::NetStats;
@@ -410,18 +410,6 @@ fn handle_request(
                     ),
                 };
             }
-            if let Some(x) = events
-                .iter()
-                .flat_map(|f| observations(&f.event))
-                .find(|x| !(0.0..=1.0).contains(x))
-            {
-                return WireResponse::Error {
-                    code: WireErrorCode::Invalid,
-                    message: format!(
-                        "feedback observation {x} lies outside the [0, 1] reward support"
-                    ),
-                };
-            }
             let window = events
                 .into_iter()
                 .map(|f| (f.round, event_from_wire(f.event)));
@@ -459,15 +447,6 @@ fn handle_request(
             }
         },
     }
-}
-
-/// The observed values of a feedback event.
-fn observations(event: &WireEvent) -> impl Iterator<Item = f64> + '_ {
-    let observations = match event {
-        WireEvent::Single(f) => &f.observations,
-        WireEvent::Combinatorial(f) => &f.observations,
-    };
-    observations.iter().map(|&(_, x)| x)
 }
 
 #[cfg(test)]

@@ -57,6 +57,41 @@ pub enum FeedbackEvent {
     Combinatorial(CombinatorialFeedback),
 }
 
+impl FeedbackEvent {
+    /// Checks every observation against the paper's [0, 1] reward support.
+    /// The serving API refuses an event outside it before anything is
+    /// enqueued: folded into an arm's running mean, a value like ±1.7e308
+    /// turns the estimate infinite, which no telemetry or stored document
+    /// can carry.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::OutOfSupport`] naming the first offending value.
+    pub(crate) fn check_support(&self, tenant: &str, round: u64) -> Result<(), ServeError> {
+        let observations = match self {
+            FeedbackEvent::Single(fb) => &fb.observations,
+            FeedbackEvent::Combinatorial(fb) => &fb.observations,
+        };
+        // One branch-free pass for the common, valid case; the offending
+        // value is looked up only on failure.
+        let valid = observations
+            .iter()
+            .fold(true, |ok, &(_, x)| ok & (0.0..=1.0).contains(&x));
+        if valid {
+            return Ok(());
+        }
+        let &(_, value) = observations
+            .iter()
+            .find(|(_, x)| !(0.0..=1.0).contains(x))
+            .expect("an observation is out of support");
+        Err(ServeError::OutOfSupport {
+            tenant: tenant.to_owned(),
+            round,
+            value,
+        })
+    }
+}
+
 /// The default event is an empty single-play observation. It exists so batch
 /// ingestion can `mem::take` events out of reusable request buffers without
 /// allocating; a default-built event is never a valid observation on its own.
@@ -241,6 +276,16 @@ pub enum ServeError {
         /// Rounds the tenant had served when the event arrived.
         served: u64,
     },
+    /// A feedback event carried an observation outside the paper's [0, 1]
+    /// reward support. Nothing of the event's window was enqueued.
+    OutOfSupport {
+        /// The tenant the event was addressed to.
+        tenant: TenantId,
+        /// The round the event quoted.
+        round: u64,
+        /// The first observation outside [0, 1].
+        value: f64,
+    },
     /// A flush policy with `max_pending == 0` was submitted (a tenant with
     /// such a policy could never hold feedback, so the value is always a
     /// configuration mistake).
@@ -286,6 +331,15 @@ impl fmt::Display for ServeError {
                      rounds have been served"
                 )
             }
+            ServeError::OutOfSupport {
+                tenant,
+                round,
+                value,
+            } => write!(
+                f,
+                "feedback for tenant {tenant:?} round {round} carries observation {value}, \
+                 outside the [0, 1] reward support"
+            ),
             ServeError::InvalidFlushPolicy { max_pending } => {
                 write!(
                     f,

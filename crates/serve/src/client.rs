@@ -73,7 +73,7 @@ use std::time::Duration;
 
 use crate::api::{DecideReply, FeedbackEvent, ServeError};
 use crate::engine::ServeEngine;
-use crate::shard::{Command, DecideBatch, DecideRequest, FeedbackRequest};
+use crate::shard::{Command, DecideBatch, DecideRequest, FeedbackWindow};
 
 /// Upper bound on recycled feedback buffers parked in the client's return
 /// channel; overflow buffers are dropped by the shard instead of blocking it.
@@ -98,10 +98,10 @@ pub struct ServeClient<'e> {
     /// mixed fan-out collect each shard independently.
     lanes: Vec<(SyncSender<DecideBatch>, Receiver<DecideBatch>)>,
     /// Return path for drained feedback request buffers.
-    recycle_tx: SyncSender<Vec<FeedbackRequest>>,
-    recycle_rx: Receiver<Vec<FeedbackRequest>>,
-    /// Recycled feedback request buffers reclaimed from `recycle_rx`.
-    feedback_pool: Vec<Vec<FeedbackRequest>>,
+    recycle_tx: SyncSender<FeedbackWindow>,
+    recycle_rx: Receiver<FeedbackWindow>,
+    /// Recycled feedback windows reclaimed from `recycle_rx`.
+    feedback_pool: Vec<FeedbackWindow>,
     /// Reply buffer backing [`ServeClient::decide`].
     single_scratch: Vec<Result<DecideReply, ServeError>>,
     /// Per-shard request assembly buffers (entry strings stay warm across
@@ -350,13 +350,14 @@ impl<'e> ServeClient<'e> {
     /// Events are applied by the shard strictly in the order given, with the
     /// same per-event semantics (round validation, flush thresholds, rejected
     /// accounting) as per-call [`ServeEngine::feedback`]. The request buffer
-    /// — including its tenant-id strings — is recycled back to this client
-    /// once the shard has drained it.
+    /// is recycled back to this client once the shard has drained it.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] after shutdown. Per-event failures (unknown
-    /// tenant, kind mismatch, invalid round) are counted in
+    /// [`ServeError::OutOfSupport`] when any observation lies outside
+    /// [0, 1] (the whole window is refused, nothing is enqueued),
+    /// [`ServeError::EngineDown`] after shutdown. Per-event failures
+    /// (unknown tenant, kind mismatch, invalid round) are counted in
     /// [`crate::ShardMetrics::rejected`], exactly like per-call feedback.
     pub fn feedback_many(
         &mut self,
@@ -376,8 +377,8 @@ impl<'e> ServeClient<'e> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the shard queue is full,
-    /// [`ServeError::EngineDown`] after shutdown.
+    /// [`ServeError::Overloaded`] when the shard queue is full, plus
+    /// everything [`ServeClient::feedback_many`] can return.
     pub fn try_feedback_many(
         &mut self,
         tenant: &str,
@@ -393,38 +394,36 @@ impl<'e> ServeClient<'e> {
         block: bool,
     ) -> Result<usize, ServeError> {
         self.reclaim_feedback_buffers();
-        let mut buffer = self.feedback_pool.pop().unwrap_or_default();
+        let mut window = self.feedback_pool.pop().unwrap_or_default();
         let mut used = 0usize;
         for (round, event) in events {
-            if used < buffer.len() {
-                let entry = &mut buffer[used];
-                entry.tenant.clear();
-                entry.tenant.push_str(tenant);
-                entry.round = round;
-                entry.event = event;
+            if let Err(e) = event.check_support(tenant, round) {
+                self.feedback_pool.push(window);
+                return Err(e);
+            }
+            if used < window.events.len() {
+                window.events[used] = (round, event);
             } else {
-                buffer.push(FeedbackRequest {
-                    tenant: tenant.to_owned(),
-                    round,
-                    event,
-                });
+                window.events.push((round, event));
             }
             used += 1;
         }
-        buffer.truncate(used);
+        window.events.truncate(used);
         if used == 0 {
-            self.feedback_pool.push(buffer);
+            self.feedback_pool.push(window);
             return Ok(0);
         }
+        window.tenant.clear();
+        window.tenant.push_str(tenant);
         let command = Command::Feedback {
-            events: buffer,
+            window,
             recycle: Some(self.recycle_tx.clone()),
         };
         let shard = self.engine.shard_of(tenant);
         if let Err((bounced, e)) = self.engine.enqueue(shard, command, block) {
-            // Recover the request buffer parked in the bounced command.
-            if let Command::Feedback { events, .. } = bounced {
-                self.feedback_pool.push(events);
+            // Recover the window parked in the bounced command.
+            if let Command::Feedback { window, .. } = bounced {
+                self.feedback_pool.push(window);
             }
             return Err(e);
         }

@@ -1,10 +1,13 @@
 //! The translation layer between live tenants and their durable documents,
-//! plus shard recovery and the disk eviction tier's bookkeeping.
+//! plus the disk eviction tier's bookkeeping.
 //!
 //! `netband-store` owns files, framing, and fsync scheduling;
 //! `netband_spec::store` owns the documents inside the frames. This module
 //! owns the only part neither of them can: converting a live [`Tenant`] to a
-//! [`StoredTenantSnapshot`] and back, bit-exactly.
+//! [`StoredTenantSnapshot`] and back, bit-exactly. Recovery itself is not
+//! here: a shard recovers by applying its log through its own mutation
+//! methods (`Shard::recover` in `crate::shard`), so the semantics of a
+//! mutation exist once, whether it is served or replayed.
 //!
 //! # The structure / state split
 //!
@@ -33,13 +36,12 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 
 use netband_spec::{
-    StoredTenantMetrics, StoredTenantSnapshot, WalRecord, WireEvent, STORE_VERSION,
+    ScenarioSpec, StoredTenantMetrics, StoredTenantSnapshot, WalRecord, WireEvent, STORE_VERSION,
 };
-use netband_store::{ShardStore, StoreConfig};
+use netband_store::ShardStore;
 
 use crate::api::{FeedbackEvent, FlushPolicy, ServeError, TenantId};
 use crate::metrics::TenantMetrics;
-use crate::shard::ShardBoot;
 use crate::tenant::{Tenant, TenantKind, TenantSpec};
 
 /// Converts a client-facing feedback event into its wire/stored form.
@@ -115,6 +117,43 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
     })
 }
 
+/// Builds a tenant as it was registered, before it learned anything: its
+/// scenario document plus the serving knobs set after building the spec.
+pub(crate) fn build_tenant(
+    id: &str,
+    scenario: &ScenarioSpec,
+    flush_max_pending: u64,
+    flush_before_decide: bool,
+    auto_feedback: bool,
+    echo_feedback: bool,
+) -> Result<Tenant, ServeError> {
+    let max_pending = usize::try_from(flush_max_pending).map_err(|_| {
+        ServeError::Store(format!(
+            "tenant {id:?}: flush_max_pending {flush_max_pending} does not fit this platform"
+        ))
+    })?;
+    let spec = TenantSpec::from_scenario(id, scenario)?
+        .with_flush(FlushPolicy {
+            max_pending,
+            flush_before_decide,
+        })
+        .with_auto_feedback(auto_feedback)
+        .with_echo_feedback(echo_feedback);
+    Tenant::new(spec)
+}
+
+/// The record that logs a tenant's registration, built from its capture.
+pub(crate) fn register_record(stored: StoredTenantSnapshot) -> WalRecord {
+    WalRecord::Register {
+        id: stored.id,
+        scenario: stored.scenario,
+        flush_max_pending: stored.flush_max_pending,
+        flush_before_decide: stored.flush_before_decide,
+        auto_feedback: stored.auto_feedback,
+        echo_feedback: stored.echo_feedback,
+    }
+}
+
 /// Rebuilds a live tenant from its durable state: the scenario document is
 /// built exactly as registration built it, then the learned state is loaded
 /// on top. The result continues the original's decision stream
@@ -136,19 +175,14 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
         pending,
         metrics,
     } = stored;
-    let max_pending = usize::try_from(flush_max_pending).map_err(|_| {
-        ServeError::Store(format!(
-            "tenant {id:?}: flush_max_pending {flush_max_pending} does not fit this platform"
-        ))
-    })?;
-    let spec = TenantSpec::from_scenario(id.clone(), &scenario)?
-        .with_flush(FlushPolicy {
-            max_pending,
-            flush_before_decide,
-        })
-        .with_auto_feedback(auto_feedback)
-        .with_echo_feedback(echo_feedback);
-    let mut tenant = Tenant::new(spec)?;
+    let mut tenant = build_tenant(
+        &id,
+        &scenario,
+        flush_max_pending,
+        flush_before_decide,
+        auto_feedback,
+        echo_feedback,
+    )?;
     match &mut tenant.kind {
         TenantKind::Single {
             policy,
@@ -220,6 +254,17 @@ pub(crate) struct ShardDurability {
 }
 
 impl ShardDurability {
+    /// Durability over an opened store, with nothing resident yet.
+    pub(crate) fn new(store: ShardStore, resident_cap: Option<usize>) -> Self {
+        ShardDurability {
+            store,
+            resident_cap,
+            evicted: HashSet::new(),
+            last_touch: HashMap::new(),
+            clock: 0,
+        }
+    }
+
     /// Marks a resident tenant as most recently used.
     pub(crate) fn touch(&mut self, id: &str) {
         self.clock += 1;
@@ -267,124 +312,6 @@ impl ShardDurability {
     pub(crate) fn over_cap(&self, resident: usize) -> bool {
         self.resident_cap.is_some_and(|cap| resident > cap)
     }
-}
-
-/// Opens one shard's store and replays its way back to the pre-crash state:
-/// the latest committed snapshot's tenants are restored, then the WAL tail
-/// is replayed through the same decide/feedback paths the live engine uses.
-///
-/// Every recovered tenant comes back *resident* regardless of where it lived
-/// before the crash — the eviction tier re-forms as traffic arrives. Replay
-/// ignores eviction entirely (it is not logged), which is exactly why it
-/// cannot double-apply anything.
-pub(crate) fn recover_shard(config: &StoreConfig, shard: usize) -> Result<ShardBoot, ServeError> {
-    let (store, recovery) = ShardStore::open(config, shard)?;
-    let mut durability = ShardDurability {
-        store,
-        resident_cap: config.resident_cap,
-        evicted: HashSet::new(),
-        last_touch: HashMap::new(),
-        clock: 0,
-    };
-    let mut tenants = HashMap::new();
-    for stored in recovery.tenants {
-        let tenant = restore_tenant(stored)?;
-        durability.touch(&tenant.id);
-        tenants.insert(tenant.id.clone(), tenant);
-    }
-    for record in recovery.records {
-        replay(record, &mut tenants, &mut durability)?;
-    }
-    Ok(ShardBoot {
-        tenants,
-        durable: Some(durability),
-    })
-}
-
-/// Replays one WAL record onto the recovering tenant map. Only successful
-/// mutations were logged, so any failure here means the files contradict
-/// themselves — surfaced as [`ServeError::Store`], loudly.
-fn replay(
-    record: WalRecord,
-    tenants: &mut HashMap<TenantId, Tenant>,
-    durability: &mut ShardDurability,
-) -> Result<(), ServeError> {
-    fn known<'a>(
-        tenants: &'a mut HashMap<TenantId, Tenant>,
-        id: &str,
-    ) -> Result<&'a mut Tenant, ServeError> {
-        tenants.get_mut(id).ok_or_else(|| {
-            ServeError::Store(format!("wal replays a mutation for unknown tenant {id:?}"))
-        })
-    }
-    match record {
-        WalRecord::Register {
-            id,
-            scenario,
-            flush_max_pending,
-            flush_before_decide,
-            auto_feedback,
-            echo_feedback,
-        } => {
-            let max_pending = usize::try_from(flush_max_pending).map_err(|_| {
-                ServeError::Store(format!(
-                    "tenant {id:?}: flush_max_pending {flush_max_pending} does not fit this \
-                     platform"
-                ))
-            })?;
-            let spec = TenantSpec::from_scenario(id.clone(), scenario.as_ref())?
-                .with_flush(FlushPolicy {
-                    max_pending,
-                    flush_before_decide,
-                })
-                .with_auto_feedback(auto_feedback)
-                .with_echo_feedback(echo_feedback);
-            let tenant = Tenant::new(spec)?;
-            durability.touch(&id);
-            tenants.insert(id, tenant);
-        }
-        WalRecord::Restore { snapshot } => {
-            let tenant = restore_tenant(*snapshot)?;
-            durability.touch(&tenant.id);
-            tenants.insert(tenant.id.clone(), tenant);
-        }
-        WalRecord::Decide { tenant, count } => {
-            durability.touch(&tenant);
-            let t = known(tenants, &tenant)?;
-            for _ in 0..count {
-                t.decide()?;
-            }
-        }
-        WalRecord::Feedback {
-            tenant,
-            round,
-            event,
-        } => {
-            durability.touch(&tenant);
-            let t = known(tenants, &tenant)?;
-            t.feedback(round, wire_to_event(event))?;
-        }
-        WalRecord::Flush { tenant } => {
-            durability.touch(&tenant);
-            let t = known(tenants, &tenant)?;
-            t.flush_pending();
-        }
-        WalRecord::Removed { tenant } => {
-            tenants.remove(&tenant);
-            durability.forget(&tenant);
-        }
-        WalRecord::Drain => {
-            // Same deterministic order as the live Drain command.
-            let mut ids: Vec<TenantId> = tenants.keys().cloned().collect();
-            ids.sort();
-            for id in ids {
-                if let Some(t) = tenants.get_mut(&id) {
-                    t.flush_pending();
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Extracts the tenant id a WAL record is about (for trace-event context);

@@ -11,9 +11,8 @@ use netband_spec::FleetSpec;
 use netband_store::{StoreConfig, StoreMetrics};
 
 use crate::api::{DecideReply, FeedbackEvent, RegisterTenantSpec, ServeError};
-use crate::durable;
 use crate::metrics::{MetricsReport, TenantTelemetry, TraceReport};
-use crate::shard::{shard_loop, Command, DecideRequest, FeedbackRequest, ShardBoot};
+use crate::shard::{Command, DecideRequest, FeedbackWindow, Shard};
 use crate::snapshot::TenantSnapshot;
 use crate::tenant::TenantSpec;
 
@@ -167,9 +166,9 @@ impl ServeEngine {
     ///
     /// Recovery runs serially on the calling thread *before* any worker is
     /// spawned: each shard's latest valid snapshot set is loaded and its WAL
-    /// tail replayed through the ordinary decide/feedback paths, so a
-    /// `kill -9` at any round resumes bit-exactly. Store-less configs never
-    /// fail.
+    /// tail applied through the shard's own mutation methods — the ones that
+    /// served the logged commands — so a `kill -9` at any round resumes
+    /// bit-exactly. Store-less configs never fail.
     ///
     /// # Errors
     ///
@@ -180,20 +179,20 @@ impl ServeEngine {
     pub fn try_start(config: EngineConfig) -> Result<Self, ServeError> {
         let shards = config.shards.max(1);
         let trace_capacity = config.trace_capacity.max(1);
-        let mut boots = Vec::with_capacity(shards);
+        let mut states = Vec::with_capacity(shards);
         for shard in 0..shards {
-            boots.push(match &config.store {
-                Some(store) => durable::recover_shard(store, shard)?,
-                None => ShardBoot::in_memory(),
+            states.push(match &config.store {
+                Some(store) => Shard::recover(store, shard, trace_capacity)?,
+                None => Shard::new(trace_capacity),
             });
         }
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        for (shard, boot) in boots.into_iter().enumerate() {
+        for (shard, state) in states.into_iter().enumerate() {
             let (sender, receiver) = sync_channel(config.queue_capacity);
             let handle = std::thread::Builder::new()
                 .name(format!("netband-shard-{shard}"))
-                .spawn(move || shard_loop(receiver, trace_capacity, boot))
+                .spawn(move || state.run(receiver))
                 .expect("spawn shard worker thread");
             senders.push(sender);
             handles.push(handle);
@@ -434,19 +433,20 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] after shutdown.
+    /// [`ServeError::OutOfSupport`] for an observation outside [0, 1]
+    /// (nothing is enqueued), [`ServeError::EngineDown`] after shutdown.
     pub fn feedback(
         &self,
         tenant: &str,
         round: u64,
         event: FeedbackEvent,
     ) -> Result<(), ServeError> {
+        event.check_support(tenant, round)?;
         let window = Command::Feedback {
-            events: vec![FeedbackRequest {
+            window: FeedbackWindow {
                 tenant: tenant.to_owned(),
-                round,
-                event,
-            }],
+                events: vec![(round, event)],
+            },
             recycle: None,
         };
         self.enqueue(self.shard_of(tenant), window, true)

@@ -25,8 +25,10 @@
 //! ```
 //!
 //! Everything is `std`-only (no async runtime — the workspace's vendored
-//! dependency set has none): a shard is a plain thread running an actor loop,
-//! so the hot path takes no locks and tenant state never crosses threads.
+//! dependency set has none): a shard is one state machine driven by a plain
+//! thread that applies its commands in order, so the hot path takes no locks
+//! and tenant state never crosses threads. The same state machine recovers
+//! a durable shard by applying its write-ahead log.
 //!
 //! ## Delayed, out-of-order feedback
 //!
@@ -134,6 +136,8 @@ mod durable;
 pub mod engine;
 pub mod metrics;
 mod shard;
+#[cfg(test)]
+mod sim;
 pub mod snapshot;
 pub mod tenant;
 

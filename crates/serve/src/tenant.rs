@@ -581,7 +581,8 @@ impl Tenant {
     }
 
     /// Serves one decision into a freshly allocated reply — the owned-value
-    /// form of [`Tenant::decide_into`] used by WAL replay.
+    /// form of [`Tenant::decide_into`], for tests.
+    #[cfg(test)]
     pub(crate) fn decide(&mut self) -> Result<DecideReply, ServeError> {
         let mut reply = DecideReply::blank();
         self.decide_into(&mut reply, None)?;

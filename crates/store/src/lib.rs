@@ -22,8 +22,8 @@
 //!   returns.
 //!
 //! Recovery ([`ShardStore::open`]) loads the newest committed snapshot and
-//! returns the WAL tail for the engine to replay through its ordinary
-//! command paths. Because every document round-trips `f64`s bit-exactly
+//! returns the WAL tail for the engine to apply through the same shard
+//! mutations that served the logged commands. Because every document round-trips `f64`s bit-exactly
 //! (they are encoded by `netband-spec`'s strict codec) and decisions are
 //! regenerated from the persisted RNG state rather than logged, a `kill -9`
 //! at any round recovers the *exact* learning trajectory — the golden-trace

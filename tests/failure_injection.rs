@@ -404,6 +404,76 @@ mod durability {
         }
     }
 
+    /// Recovery replays the log to rebuild tenants and nothing else: a
+    /// recovered shard has traced no replayed mutation, counted no replayed
+    /// command, timed no replayed decide or feedback, and its store reports
+    /// exactly the records the killed engine wrote. The log covers every
+    /// record kind that replays through a mutation: register, decide,
+    /// feedback (with threshold-triggered flushes), explicit flush, drain.
+    #[test]
+    fn recovery_has_no_observable_side_effects() {
+        const TENANTS: usize = 3;
+        const CAP: usize = 1;
+        let dir = DataDir::new("quiet");
+        let config = || {
+            EngineConfig::new(1)
+                .with_trace_capacity(1 << 12)
+                .with_store(StoreConfig::new(&dir.0).with_resident_cap(CAP))
+        };
+        let first = ServeEngine::start(config());
+        let (_, mut spec) = golden_specs().remove(0);
+        spec.feedback = netband::spec::FeedbackSpec::Batched { max_pending: 2 };
+        let ids: Vec<String> = (0..TENANTS).map(|i| format!("quiet-{i}")).collect();
+        for id in &ids {
+            first
+                .register_tenant_spec(&RegisterTenantSpec::new(id, spec.clone()))
+                .expect("register from spec");
+        }
+        for id in &ids {
+            serve_rounds(&first, id, 5, &mut RegretRecorder::from_scenario(&spec));
+            first.flush(id).expect("flush");
+        }
+        first.drain().expect("drain");
+        let flushes = first
+            .trace()
+            .expect("trace")
+            .shards
+            .iter()
+            .flatten()
+            .filter(|e| matches!(e.kind, TraceKind::FlushApplied { .. }))
+            .count();
+        assert!(flushes > 0, "no threshold-triggered flush reached the log");
+        let written = first
+            .store_metrics()
+            .expect("store metrics")
+            .expect("engine has a store");
+        assert_eq!(written.compactions, 0, "the whole run must stay in one WAL");
+        kill(first);
+
+        let second = ServeEngine::try_start(config()).expect("recover from disk");
+        let trace = second.trace().expect("trace");
+        let kinds: Vec<TraceKind> = trace.shards[0].iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![TraceKind::TenantEvicted; TENANTS - CAP],
+            "recovery traced more than the boot-time evictions"
+        );
+        let report = second.metrics().expect("metrics");
+        let shard = &report.shards[0];
+        // The trace drain and this scrape are the only commands served.
+        assert_eq!(shard.commands, 2);
+        assert_eq!(shard.rejected, 0);
+        assert_eq!(shard.decide_latency.count(), 0);
+        assert_eq!(shard.feedback_latency.count(), 0);
+        let store = second
+            .store_metrics()
+            .expect("store metrics")
+            .expect("engine has a store");
+        assert_eq!(store.recovered_records, written.appends);
+        assert_eq!(store.recovered_tenants, 0, "no snapshot was committed");
+        second.shutdown();
+    }
+
     // ===== the disk eviction tier ===========================================
 
     /// 64 tenants on a 4-shard engine whose resident cap (8 per shard) is

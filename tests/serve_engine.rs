@@ -256,6 +256,60 @@ fn misdirected_feedback_is_counted_not_lost() {
     engine.shutdown();
 }
 
+/// Both in-process feedback entry points refuse an observation outside the
+/// paper's [0, 1] reward support before anything is enqueued: ±1.7e308 are
+/// finite, but folded into an arm's running mean they would make it
+/// infinite. The tenant's estimators stay finite and it keeps learning from
+/// valid feedback.
+#[test]
+fn out_of_support_feedback_is_refused_at_admission() {
+    let engine = ServeEngine::with_shards(1);
+    engine
+        .create_tenant(tenant_spec(0, FlushPolicy::immediate()))
+        .unwrap();
+    let reply = engine.decide("tenant-00").unwrap();
+    let Some(FeedbackEvent::Single(echoed)) = reply.feedback else {
+        panic!("single-play tenants echo single-play feedback");
+    };
+    let mut hostile = echoed.clone();
+    hostile.observations = vec![(echoed.arm, 1.7e308), (echoed.arm, -1.7e308)];
+    let refused = |result: Result<_, ServeError>| match result {
+        Err(ServeError::OutOfSupport { round, value, .. }) => {
+            assert_eq!(round, reply.round);
+            assert_eq!(value, 1.7e308);
+        }
+        other => panic!("out-of-support feedback was not refused: {other:?}"),
+    };
+    refused(
+        engine
+            .feedback(
+                "tenant-00",
+                reply.round,
+                FeedbackEvent::Single(hostile.clone()),
+            )
+            .map(|()| 0),
+    );
+    let mut client = engine.client();
+    let window = [
+        (reply.round, FeedbackEvent::Single(echoed.clone())),
+        (reply.round, FeedbackEvent::Single(hostile)),
+    ];
+    refused(client.feedback_many("tenant-00", window.clone()));
+    refused(client.try_feedback_many("tenant-00", window));
+
+    let telemetry = engine.telemetry("tenant-00").unwrap();
+    assert_eq!(telemetry.metrics.feedback_events, 0, "nothing was enqueued");
+    assert!(telemetry.arm_means.iter().all(|m| m.is_finite()));
+    assert_eq!(engine.metrics().unwrap().shards[0].rejected, 0);
+    client
+        .feedback_many("tenant-00", [(reply.round, FeedbackEvent::Single(echoed))])
+        .unwrap();
+    let telemetry = engine.telemetry("tenant-00").unwrap();
+    assert_eq!(telemetry.metrics.feedback_events, 1);
+    assert!(telemetry.arm_means.iter().all(|m| m.is_finite()));
+    engine.shutdown();
+}
+
 /// Batched flush policies fold feedback in at the configured threshold: the
 /// queue builds to `max_pending` and is applied as one batch.
 #[test]
