@@ -31,7 +31,7 @@
 //! non-destructively (in arrival order, which reproduces the eventual
 //! flush's stable sort) and stores it verbatim.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 
@@ -41,7 +41,7 @@ use netband_spec::{
 use netband_store::ShardStore;
 
 use crate::api::{FeedbackEvent, FlushPolicy, ServeError, TenantId};
-use crate::metrics::TenantMetrics;
+use crate::metrics::{TenantMetrics, TenantTelemetry};
 use crate::tenant::{Tenant, TenantKind, TenantSpec};
 
 /// Converts a client-facing feedback event into its wire/stored form.
@@ -241,12 +241,18 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
 /// recovery reconstructs every tenant (resident or evicted) from the
 /// snapshot and WAL alone, and the store sweeps evict files at open so they
 /// can never double-apply.
+///
+/// An evicted tenant takes no mutations (any command that would mutate it
+/// rehydrates it first), so its telemetry read-out, taken at eviction, stays
+/// current for as long as it is on disk: shard-wide reads answer from it
+/// without paging the tenant in.
 pub(crate) struct ShardDurability {
     pub(crate) store: ShardStore,
     /// Maximum tenants kept resident; `None` disables the eviction tier.
     pub(crate) resident_cap: Option<usize>,
-    /// Tenants currently living in the disk tier (out of RAM).
-    pub(crate) evicted: HashSet<TenantId>,
+    /// Tenants currently living in the disk tier (out of RAM), each with
+    /// its telemetry read-out frozen at eviction.
+    pub(crate) evicted: HashMap<TenantId, TenantTelemetry>,
     /// Last-touch sequence number per *resident* tenant (the LRU order).
     last_touch: HashMap<TenantId, u64>,
     /// Monotonic touch clock.
@@ -259,7 +265,7 @@ impl ShardDurability {
         ShardDurability {
             store,
             resident_cap,
-            evicted: HashSet::new(),
+            evicted: HashMap::new(),
             last_touch: HashMap::new(),
             clock: 0,
         }
@@ -282,10 +288,11 @@ impl ShardDurability {
         self.evicted.remove(id);
     }
 
-    /// Moves a tenant's bookkeeping from resident to the disk tier.
-    pub(crate) fn note_evicted(&mut self, id: &str) {
-        self.last_touch.remove(id);
-        self.evicted.insert(id.to_owned());
+    /// Moves a tenant's bookkeeping from resident to the disk tier, keeping
+    /// its read-out.
+    pub(crate) fn note_evicted(&mut self, telemetry: TenantTelemetry) {
+        self.last_touch.remove(&telemetry.id);
+        self.evicted.insert(telemetry.id.clone(), telemetry);
     }
 
     /// Moves a tenant's bookkeeping from the disk tier to resident.
@@ -296,7 +303,7 @@ impl ShardDurability {
 
     /// Whether a tenant exists on this shard at all (resident or on disk).
     pub(crate) fn knows(&self, id: &str) -> bool {
-        self.last_touch.contains_key(id) || self.evicted.contains(id)
+        self.last_touch.contains_key(id) || self.evicted.contains_key(id)
     }
 
     /// The least-recently-used resident tenant (ties broken by id, so the

@@ -24,12 +24,15 @@
 //! (rejected commands never reach the log, so replay cannot fail where the
 //! original run succeeded) and keeps at most `resident_cap` tenants in RAM,
 //! moving the least-recently-used ones to the disk eviction tier and reading
-//! them back transparently when traffic returns. A store failure reaches
-//! [`Shard::apply`] as `Err(ServeError::Store)`, which the worker thread
-//! treats as **fatal**: once the log can no longer be written the durability
-//! contract cannot be honoured, and dying loudly beats silently diverging
-//! from the on-disk state (crash-only design — the next boot recovers from
-//! the last durable point).
+//! them back transparently when traffic returns. Reads (metrics, telemetry)
+//! never page a tenant in: they answer from the read-out the shard keeps of
+//! each evicted tenant.
+//!
+//! A store failure reaches [`Shard::apply`] as `Err(ServeError::Store)`,
+//! which the worker thread treats as **fatal**: once the log can no longer
+//! be written the durability contract cannot be honoured, and dying loudly
+//! beats silently diverging from the on-disk state (crash-only design — the
+//! next boot recovers from the last durable point).
 
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -359,31 +362,43 @@ impl Shard {
                 let _ = reply.send(result);
             }
             Command::Snapshot { tenant, reply } => {
-                let result = self.resident(&tenant).map(Tenant::snapshot);
+                let mut flushed = false;
+                let result = self.resident(&tenant).map(|t| {
+                    flushed = t.pending_len() > 0;
+                    t.snapshot()
+                });
                 if result.is_ok() {
                     self.trace.record(TraceKind::SnapshotTaken, &tenant);
                     // `Tenant::snapshot` flushed pending feedback; log it as
-                    // the flush it is.
-                    self.log(|| WalRecord::Flush { tenant })?;
+                    // the flush it is, if there was any.
+                    if flushed {
+                        self.log(|| WalRecord::Flush { tenant })?;
+                    }
                 }
                 let _ = reply.send(result);
             }
             Command::Evict { tenant, reply } => {
                 let result = self.remove(&tenant).map(|mut t| t.snapshot());
                 if result.is_ok() {
+                    // A tenant evicted earlier left a stale file behind.
+                    if let Some(dur) = &mut self.durable {
+                        dur.store.remove_evicted(&tenant).map_err(|e| {
+                            store_fault(format_args!("removing tenant {tenant:?}"), e)
+                        })?;
+                    }
                     self.log(|| WalRecord::Removed { tenant })?;
                 }
                 let _ = reply.send(result);
             }
+            // Shard-wide reads cover the disk tier through its frozen
+            // read-outs, so a capped engine reports exactly what an uncapped
+            // one would without paging a tenant in.
             Command::Metrics { reply } => {
-                // Shard-wide reads cover the disk tier too: rehydrate first
-                // so a capped engine reports exactly what an uncapped one
-                // would (the cap is re-enforced after the command).
-                self.rehydrate_all()?;
-                let mut list: Vec<(TenantId, TenantMetrics)> = self
-                    .tenants
-                    .iter()
-                    .map(|(id, t)| (id.clone(), t.metrics.clone()))
+                let resident = self.tenants.iter().map(|(id, t)| (id, &t.metrics));
+                let parked = self.parked().map(|t| (&t.id, &t.metrics));
+                let mut list: Vec<(TenantId, TenantMetrics)> = resident
+                    .chain(parked)
+                    .map(|(id, metrics)| (id.clone(), metrics.clone()))
                     .collect();
                 list.sort_by(|a, b| a.0.cmp(&b.0));
                 let _ = reply.send(ShardReport {
@@ -392,12 +407,17 @@ impl Shard {
                 });
             }
             Command::Telemetry { tenant, reply } => {
-                let _ = reply.send(self.resident(&tenant).map(|t| t.telemetry()));
+                let read_out = self
+                    .tenants
+                    .get(&tenant)
+                    .map(Tenant::telemetry)
+                    .or_else(|| self.durable.as_ref()?.evicted.get(&tenant).cloned());
+                let _ = reply.send(read_out.ok_or(ServeError::UnknownTenant(tenant)));
             }
             Command::TelemetryAll { reply } => {
-                self.rehydrate_all()?;
+                let resident = self.tenants.values().map(Tenant::telemetry);
                 let mut list: Vec<TenantTelemetry> =
-                    self.tenants.values().map(Tenant::telemetry).collect();
+                    resident.chain(self.parked().cloned()).collect();
                 list.sort_by(|a, b| a.id.cmp(&b.id));
                 let _ = reply.send(list);
             }
@@ -597,7 +617,7 @@ impl Shard {
         };
         if self.tenants.contains_key(id) {
             dur.touch(id);
-        } else if dur.evicted.contains(id) {
+        } else if dur.evicted.contains_key(id) {
             let tenant = restore_tenant(dur.store.read_evicted(id)?)?;
             dur.note_rehydrated(id);
             self.trace.record(TraceKind::TenantRehydrated, id);
@@ -606,12 +626,18 @@ impl Shard {
         Ok(())
     }
 
+    /// The disk tier's telemetry read-outs, frozen at eviction (none without
+    /// a store).
+    fn parked(&self) -> impl Iterator<Item = &TenantTelemetry> {
+        self.durable.iter().flat_map(|d| d.evicted.values())
+    }
+
     /// Rehydrates every disk-tier tenant (sorted by id, deterministically)
-    /// ahead of a shard-wide command — metrics, telemetry, and drain cover
-    /// *all* tenants, exactly like a store-less engine.
+    /// ahead of a drain, which flushes *all* tenants, exactly like a
+    /// store-less engine.
     fn rehydrate_all(&mut self) -> Result<(), ServeError> {
         let mut ids: Vec<TenantId> = match &self.durable {
-            Some(dur) if !dur.evicted.is_empty() => dur.evicted.iter().cloned().collect(),
+            Some(dur) if !dur.evicted.is_empty() => dur.evicted.keys().cloned().collect(),
             _ => return Ok(()),
         };
         ids.sort();
@@ -639,8 +665,11 @@ impl Shard {
             dur.store
                 .write_evicted(&stored)
                 .map_err(|e| store_fault(format_args!("evicting tenant {victim:?}"), e))?;
-            self.tenants.remove(&victim);
-            dur.note_evicted(&victim);
+            let tenant = self
+                .tenants
+                .remove(&victim)
+                .expect("the victim is resident");
+            dur.note_evicted(tenant.telemetry());
             self.trace.record(TraceKind::TenantEvicted, &victim);
         }
         Ok(())

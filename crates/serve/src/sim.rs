@@ -375,7 +375,8 @@ fn simulated_schedules_match_an_uncapped_reference() {
 
 /// A store fault reaches [`Shard::apply`] as an `Err`, not as a panic inside
 /// it, and the tenants still resident keep serving. Here the fault is an
-/// evicted tenant whose evict file is gone when a scrape pages it back in.
+/// evicted tenant whose evict file is gone when a drain pages it back in.
+/// Scrapes never page a tenant in, so they cannot meet the fault.
 #[test]
 fn a_store_fault_reaches_apply_as_an_error() {
     let dir =
@@ -391,6 +392,22 @@ fn a_store_fault_reaches_apply_as_an_error() {
         });
         assert_eq!(admitted, Ok(()));
     }
+    let rehydrations = |shard: &mut Shard| {
+        ask(shard, |reply| Command::StoreMetrics { reply })
+            .expect("the shard is durable")
+            .rehydrations
+    };
+    let before = rehydrations(&mut shard);
+    let metrics = ask(&mut shard, |reply| Command::Metrics { reply }).tenants;
+    let telemetry = ask(&mut shard, |reply| Command::TelemetryAll { reply });
+    assert_eq!(metrics.len(), 2, "the scrape covers the evicted tenant");
+    assert_eq!(telemetry.len(), 2, "the scrape covers the evicted tenant");
+    assert_eq!(
+        rehydrations(&mut shard),
+        before,
+        "a scrape paged a tenant in"
+    );
+
     let shard_dir = dir.0.join("shard-0");
     let evict_files: Vec<PathBuf> = std::fs::read_dir(&shard_dir)
         .unwrap()
@@ -406,10 +423,10 @@ fn a_store_fault_reaches_apply_as_an_error() {
     std::fs::remove_file(&evict_files[0]).unwrap();
 
     let (reply, _answer) = sync_channel(1);
-    match shard.apply(Command::Metrics { reply }) {
+    match shard.apply(Command::Drain { reply }) {
         Err(ServeError::Store(message)) => assert!(message.contains("evicted"), "{message}"),
         Err(other) => panic!("a store fault surfaced as {other}"),
-        Ok(_) => panic!("a scrape over a lost evict file succeeded"),
+        Ok(_) => panic!("a drain over a lost evict file succeeded"),
     }
     let batch = ask(&mut shard, |reply| Command::Decide {
         requests: vec![DecideRequest {

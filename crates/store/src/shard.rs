@@ -19,8 +19,8 @@
 //! 2. rename to `snapshot-<E+1>.json`, fsync the directory — **this rename is
 //!    the commit point**;
 //! 3. create the empty `wal-<E+1>.log` and switch the writer to it;
-//! 4. delete epoch `E`'s files (best-effort cleanup; stale epochs are also
-//!    swept at open).
+//! 4. delete epoch `E`'s files (best-effort cleanup, not synced: a crash
+//!    that brings them back leaves a stale epoch, which open sweeps).
 //!
 //! A crash anywhere in the sequence leaves at least one complete epoch on
 //! disk: before step 2 the old pair is untouched (the `.tmp` is swept at
@@ -35,13 +35,18 @@
 //! snapshot plus WAL replay already reconstruct every tenant — resident or
 //! not — so consulting evict files there would double-apply the mutations
 //! the WAL tail also carries. Open deletes them; the serving layer re-evicts
-//! over-cap tenants afresh. The invariant while running: an evict file
-//! exists **iff** its tenant is out of RAM, and (because evicted tenants
-//! receive no mutations — any command rehydrates first) its content is the
-//! tenant's current state, which is also why compaction may embed it
-//! verbatim.
+//! over-cap tenants afresh.
+//!
+//! While running, the store's *live set* names exactly the tenants out of
+//! RAM. Each live id's file holds that tenant's current state (evicted
+//! tenants receive no mutations — any command rehydrates first), which is
+//! why compaction may embed it verbatim. Rehydration only drops the id from
+//! the live set: the file stays behind, stale, and is never read again. The
+//! next eviction of that tenant overwrites it in place, and open sweeps it.
+//! Because nothing after a crash reads the tier, it needs no fsync, no tmp
+//! file and no rename.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -141,6 +146,8 @@ pub struct ShardStore {
     metrics: StoreMetrics,
     /// The snapshot and evict-file buffer, reused write after write.
     text: String,
+    /// The live set: tenants whose evict file holds their current state.
+    evicted: BTreeSet<String>,
 }
 
 impl ShardStore {
@@ -254,6 +261,7 @@ impl ShardStore {
                 records_this_epoch,
                 metrics,
                 text: String::new(),
+                evicted: BTreeSet::new(),
             },
             ShardRecovery {
                 tenants,
@@ -294,18 +302,15 @@ impl ShardStore {
     }
 
     /// Writes the next epoch's snapshot from the caller's `resident` tenants
-    /// plus every evict file's content, commits it, rotates the WAL, and
-    /// deletes the superseded epoch.
+    /// plus the live evict files (in id order), commits it, rotates the WAL,
+    /// and deletes the superseded epoch.
     pub fn compact(&mut self, resident: Vec<StoredTenantSnapshot>) -> Result<(), StoreError> {
         let mut tenants = resident;
         // Embed the eviction tier: evicted tenants are not in RAM, but their
-        // evict files hold their exact current state (see module docs).
-        // BTreeMap order keeps the embedded section deterministic.
-        let mut evicted = BTreeMap::new();
-        for snapshot in self.read_all_evicted()? {
-            evicted.insert(snapshot.id.clone(), snapshot);
+        // live evict files hold their exact current state (see module docs).
+        for id in &self.evicted {
+            tenants.push(self.decode_evicted(id)?);
         }
-        tenants.extend(evicted.into_values());
 
         let next = self.epoch + 1;
         let snapshot = ShardSnapshot {
@@ -345,42 +350,70 @@ impl ShardStore {
         self.metrics.compactions += 1;
         self.metrics.wal_bytes = 0;
 
-        // Best-effort: a crash here just leaves a stale epoch for the next
-        // open's sweep.
+        // Best-effort and unsynced: a crash here just leaves a stale epoch
+        // for the next open's sweep.
         let _ = fs::remove_file(&old_wal_path);
         let _ = fs::remove_file(self.dir.join(format!("snapshot-{old_epoch}.json")));
-        sync_dir(&self.dir)?;
         Ok(())
     }
 
-    /// Moves a tenant into the disk tier: writes its snapshot as an evict
-    /// file, after which the caller may drop the in-RAM tenant.
+    /// Moves a tenant into the disk tier: overwrites its evict file in place
+    /// and adds it to the live set, after which the caller may drop the
+    /// in-RAM tenant. Nothing is synced (see module docs).
     pub fn write_evicted(&mut self, snapshot: &StoredTenantSnapshot) -> Result<(), StoreError> {
         let path = self.dir.join(evict_file_name(&snapshot.id));
-        let tmp_path = path.with_extension("json.tmp");
-        {
-            let mut tmp = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)
-                .map_err(|e| io_err("create evict tmp", &tmp_path, e))?;
-            self.text.clear();
-            snapshot.write_json(&mut self.text);
-            tmp.write_all(self.text.as_bytes())
-                .map_err(|e| io_err("write evict file", &tmp_path, e))?;
-            tmp.sync_all()
-                .map_err(|e| io_err("sync evict file", &tmp_path, e))?;
-        }
-        fs::rename(&tmp_path, &path).map_err(|e| io_err("commit evict file", &path, e))?;
+        self.text.clear();
+        snapshot.write_json(&mut self.text);
+        // No truncate on open: shrinking a rewritten file with `set_len`
+        // spares ext4 the writeback it forces on truncate-to-zero.
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .and_then(|mut file| {
+                file.write_all(self.text.as_bytes())?;
+                file.set_len(self.text.len() as u64)
+            })
+            .map_err(|e| io_err("write evict file", &path, e))?;
+        self.evicted.insert(snapshot.id.clone());
         self.metrics.evictions += 1;
         Ok(())
     }
 
-    /// Reads a tenant back out of the disk tier and deletes its evict file
-    /// (the caller is about to make it resident again).
+    /// Reads a tenant back out of the disk tier and drops it from the live
+    /// set (the caller is about to make it resident again). Its file stays
+    /// behind, stale.
     pub fn read_evicted(&mut self, id: &str) -> Result<StoredTenantSnapshot, StoreError> {
+        let snapshot = self.decode_evicted(id)?;
+        self.evicted.remove(id);
+        self.metrics.rehydrations += 1;
+        Ok(snapshot)
+    }
+
+    /// Drops a tenant from the disk tier without rehydrating it, deleting
+    /// its evict file, live or stale. Returns `false` if it was not live.
+    pub fn remove_evicted(&mut self, id: &str) -> Result<bool, StoreError> {
         let path = self.dir.join(evict_file_name(id));
+        match fs::remove_file(&path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err("remove evict file", &path, e)),
+        }
+        Ok(self.evicted.remove(id))
+    }
+
+    /// Decodes a live tenant's evict file; a tenant outside the live set has
+    /// none, whatever the directory holds.
+    fn decode_evicted(&self, id: &str) -> Result<StoredTenantSnapshot, StoreError> {
+        let path = self.dir.join(evict_file_name(id));
+        if !self.evicted.contains(id) {
+            let absent = std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "the tenant is not in the eviction tier",
+            );
+            return Err(io_err("read evict file", &path, absent));
+        }
         let text = fs::read_to_string(&path).map_err(|e| io_err("read evict file", &path, e))?;
         let snapshot =
             StoredTenantSnapshot::from_json_text(&text).map_err(|source| StoreError::Codec {
@@ -394,50 +427,7 @@ impl ShardStore {
                 message: format!("evict file for {id:?} holds tenant {:?}", snapshot.id),
             });
         }
-        fs::remove_file(&path).map_err(|e| io_err("remove evict file", &path, e))?;
-        self.metrics.rehydrations += 1;
         Ok(snapshot)
-    }
-
-    /// Drops a tenant's evict file without rehydrating it (the tenant was
-    /// removed from the engine while evicted). Returns `false` if no evict
-    /// file existed.
-    pub fn remove_evicted(&mut self, id: &str) -> Result<bool, StoreError> {
-        let path = self.dir.join(evict_file_name(id));
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove evict file", &path, e)),
-        }
-    }
-
-    /// Decodes every evict file currently in the shard directory.
-    fn read_all_evicted(&self) -> Result<Vec<StoredTenantSnapshot>, StoreError> {
-        let mut snapshots = Vec::new();
-        let entries =
-            fs::read_dir(&self.dir).map_err(|e| io_err("list shard directory", &self.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("list shard directory", &self.dir, e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                continue;
-            };
-            if !(name.starts_with("evict-") && name.ends_with(".json")) {
-                continue;
-            }
-            let path = entry.path();
-            let text =
-                fs::read_to_string(&path).map_err(|e| io_err("read evict file", &path, e))?;
-            snapshots.push(
-                StoredTenantSnapshot::from_json_text(&text).map_err(|source| {
-                    StoreError::Codec {
-                        path: path.clone(),
-                        source,
-                    }
-                })?,
-            );
-        }
-        Ok(snapshots)
     }
 
     /// The store's counters and gauges (see [`StoreMetrics`]).

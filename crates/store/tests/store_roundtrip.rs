@@ -336,14 +336,18 @@ fn eviction_tier_round_trips_and_compaction_embeds_it() {
     store.write_evicted(&parked).unwrap();
     assert_eq!(store.metrics().evictions, 1);
 
-    // Rehydration returns the exact snapshot and consumes the file.
+    // Rehydration returns the exact snapshot and takes the tenant out of
+    // the tier.
     let back = store.read_evicted(&parked.id).unwrap();
     assert_eq!(back, parked);
     assert_eq!(store.metrics().rehydrations, 1);
-    assert!(store.read_evicted(&parked.id).is_err(), "file was consumed");
+    assert!(
+        store.read_evicted(&parked.id).is_err(),
+        "the tenant left the tier"
+    );
 
     // Park two tenants and compact: both must be embedded alongside the
-    // resident one, and their files must survive (they are still the only
+    // resident one, and stay in the tier (their files are still the only
     // live copy a rehydration can use).
     let idle_a = tenant_snapshot("idle-a", 2);
     let idle_b = tenant_snapshot("idle-b", 9);
@@ -365,6 +369,55 @@ fn eviction_tier_round_trips_and_compaction_embeds_it() {
         .unwrap()
         .filter_map(Result::ok)
         .any(|e| e.file_name().to_string_lossy().starts_with("evict-")));
+}
+
+/// Rehydration leaves the tenant's file behind, stale. Once the caller has
+/// mutated the tenant, that file must never stand in for it: it is neither
+/// read back nor embedded by compaction, and the tenant's next eviction
+/// overwrites it in place, a shorter document included.
+#[test]
+fn a_stale_evict_file_is_never_read() {
+    let scratch = Scratch::new("stale");
+    let (mut store, _) = ShardStore::open(&scratch.config(), 0).unwrap();
+    let parked = tenant_snapshot("churned", 123_456_789);
+    store.write_evicted(&parked).unwrap();
+    assert_eq!(store.read_evicted("churned").unwrap(), parked);
+    let evict_files = || -> Vec<std::fs::DirEntry> {
+        scratch
+            .shard_dir(0)
+            .read_dir()
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().starts_with("evict-"))
+            .collect()
+    };
+    assert_eq!(evict_files().len(), 1, "rehydration keeps the file");
+
+    // The caller mutates the rehydrated tenant and keeps it resident.
+    let current = tenant_snapshot("churned", 5);
+    assert!(
+        store.read_evicted("churned").is_err(),
+        "a stale file was read back"
+    );
+    store.compact(vec![current.clone()]).unwrap();
+
+    store.write_evicted(&current).unwrap();
+    let files = evict_files();
+    assert_eq!(files.len(), 1);
+    assert_eq!(
+        files[0].metadata().unwrap().len(),
+        current.to_json_text().len() as u64,
+        "the shorter document left the old tail behind"
+    );
+    assert_eq!(store.read_evicted("churned").unwrap(), current);
+
+    drop(store);
+    let (_store, recovery) = ShardStore::open(&scratch.config(), 0).unwrap();
+    assert_eq!(
+        recovery.tenants,
+        vec![current],
+        "compaction embedded a stale file"
+    );
 }
 
 #[test]

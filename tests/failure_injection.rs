@@ -285,11 +285,9 @@ mod durability {
 
     /// Simulates `kill -9` at a command boundary: waits until everything
     /// enqueued has been executed (the store-metrics call is a queue barrier
-    /// that writes nothing durable — unlike `metrics`, which pages evicted
-    /// tenants in and writes them out again after it has replied), then
-    /// abandons the engine — no shutdown, no drain, no final fsync. Threads
-    /// and file handles are leaked exactly as a killed process would leave
-    /// them.
+    /// that writes nothing), then abandons the engine — no shutdown, no
+    /// drain, no final fsync. Threads and file handles are leaked exactly as
+    /// a killed process would leave them.
     fn kill(engine: ServeEngine) {
         engine.store_metrics().expect("barrier before the crash");
         std::mem::forget(engine);
@@ -358,6 +356,67 @@ mod durability {
         for crash_round in [1, change - 1, change, DRIFT_HORIZON - 1] {
             crash_recover_and_check("drift_cts", &spec, crash_round);
         }
+    }
+
+    /// An in-memory checkpoint of a tenant with nothing pending changes
+    /// nothing durable, so it appends no WAL record; one with pending
+    /// feedback logs the flush it applied. Either way the killed engine
+    /// recovers the golden trace bit for bit.
+    #[test]
+    fn snapshots_log_a_flush_only_when_feedback_was_pending() {
+        let dir = DataDir::new("snapshot");
+        let (fixture, spec) = golden_specs().remove(0);
+        let mut batched = spec.clone();
+        batched.feedback = netband::spec::FeedbackSpec::Batched { max_pending: 4 };
+        let mut recorder = RegretRecorder::from_scenario(&spec);
+        let first = ServeEngine::start(dir.engine_config());
+        for (id, spec) in [(fixture, &spec), ("batched", &batched)] {
+            first
+                .register_tenant_spec(&RegisterTenantSpec::new(id, spec.clone()))
+                .expect("register from spec");
+        }
+        let appends = |engine: &ServeEngine| {
+            engine
+                .store_metrics()
+                .expect("store metrics")
+                .expect("engine has a store")
+                .appends
+        };
+        serve_rounds(&first, fixture, 10, &mut recorder);
+        let before = appends(&first);
+        first.snapshot_tenant(fixture).expect("snapshot");
+        assert_eq!(
+            appends(&first),
+            before,
+            "a snapshot with nothing pending was logged"
+        );
+
+        serve_rounds(
+            &first,
+            "batched",
+            1,
+            &mut RegretRecorder::from_scenario(&batched),
+        );
+        let before = appends(&first);
+        first.snapshot_tenant("batched").expect("snapshot");
+        assert_eq!(
+            appends(&first),
+            before + 1,
+            "the snapshot's flush was not logged"
+        );
+
+        serve_rounds(&first, fixture, 10, &mut recorder);
+        kill(first);
+        let second = ServeEngine::try_start(dir.engine_config()).expect("recover from disk");
+        recorder.assert_totals(&second.telemetry(fixture).expect("telemetry"));
+        let pending = second
+            .telemetry("batched")
+            .expect("telemetry")
+            .pending_feedback;
+        assert_eq!(pending, 0, "recovery lost the snapshot's flush");
+        serve_rounds(&second, fixture, spec.horizon - 20, &mut recorder);
+        second.shutdown();
+        assert_golden(fixture, &recorder.run_result());
     }
 
     /// Mid-log corruption is *not* a torn tail: a complete WAL frame whose
@@ -691,6 +750,100 @@ mod durability {
         }
         capped.shutdown();
         reference.shutdown();
+    }
+
+    /// Serves every golden tenant round-robin, a few rounds per turn, until
+    /// each has served `target(horizon)` rounds. Under a resident cap of 1
+    /// every turn pages one tenant in and another out. Returns the tenant
+    /// served last, which is the one left resident.
+    fn serve_interleaved(
+        engine: &ServeEngine,
+        specs: &[(&'static str, ScenarioSpec)],
+        recorders: &mut [RegretRecorder],
+        served: &mut [usize],
+        target: impl Fn(usize) -> usize,
+    ) -> &'static str {
+        let mut last = specs[0].0;
+        loop {
+            let mut progressed = false;
+            for (i, (fixture, spec)) in specs.iter().enumerate() {
+                let rounds = (target(spec.horizon) - served[i]).min(7);
+                if rounds > 0 {
+                    serve_rounds(engine, fixture, rounds, &mut recorders[i]);
+                    served[i] += rounds;
+                    last = fixture;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return last;
+            }
+        }
+    }
+
+    /// The eviction tier is never read after a crash. A kill leaves the
+    /// shard directory holding live evict files (tenants out of RAM), a
+    /// stale one (the resident tenant's, older than its state) and a torn
+    /// one (a live file cut mid-document, as a crash mid-eviction would
+    /// leave it). Recovery must ignore all of them: every golden trace,
+    /// finished on the recovered engine, matches its fixture bit for bit.
+    #[test]
+    fn a_kill_over_live_stale_and_torn_evict_files_recovers_bit_exact() {
+        let dir = DataDir::new("evictfiles");
+        let config = || {
+            EngineConfig::new(1).with_store(
+                StoreConfig::new(&dir.0)
+                    .with_resident_cap(1)
+                    .with_compact_every(97),
+            )
+        };
+        let specs = golden_specs();
+        let mut recorders: Vec<RegretRecorder> = specs
+            .iter()
+            .map(|(_, spec)| RegretRecorder::from_scenario(spec))
+            .collect();
+        let mut served = vec![0; specs.len()];
+        let first = ServeEngine::start(config());
+        for (fixture, spec) in &specs {
+            first
+                .register_tenant_spec(&RegisterTenantSpec::new(*fixture, spec.clone()))
+                .expect("register from spec");
+        }
+        let resident = serve_interleaved(&first, &specs, &mut recorders, &mut served, |h| h / 2);
+        kill(first);
+
+        let shard_dir = dir.0.join("shard-0");
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&shard_dir)
+            .expect("shard dir exists")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("evict-"))
+            })
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), specs.len(), "one evict file per tenant");
+        let is_stale = |p: &PathBuf| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with(&format!("evict-{resident}-"))
+        };
+        assert_eq!(files.iter().filter(|p| is_stale(p)).count(), 1);
+        let torn = files.iter().find(|p| !is_stale(p)).expect("a live file");
+        let bytes = std::fs::read(torn).expect("read a live evict file");
+        std::fs::write(torn, &bytes[..bytes.len() / 2]).expect("tear it");
+
+        let second = ServeEngine::try_start(config()).expect("recover from disk");
+        for (i, (fixture, _)) in specs.iter().enumerate() {
+            let telemetry = second.telemetry(fixture).expect("recovered tenant");
+            assert_eq!(telemetry.round, served[i] as u64, "{fixture}");
+            recorders[i].assert_totals(&telemetry);
+        }
+        serve_interleaved(&second, &specs, &mut recorders, &mut served, |h| h);
+        second.shutdown();
+        for ((fixture, _), recorder) in specs.iter().zip(&recorders) {
+            assert_golden(fixture, &recorder.run_result());
+        }
     }
 
     /// The durable-store counters reach the Prometheus-style exposition only
