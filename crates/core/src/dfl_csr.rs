@@ -271,12 +271,12 @@ mod tests {
         let arms = ArmSet::bernoulli(&[0.3, 0.8, 0.3, 0.3, 0.8, 0.3]);
         let family = StrategyFamily::at_most_m(6, 2);
         let bandit = NetworkedBandit::new(graph.clone(), arms).unwrap();
-        let optimal = bandit.best_strategy_side_mean(&family);
+        let optimal = bandit.best_strategy_side_mean(&family, bandit.means());
         let mut policy = DflCsr::new(graph, family);
         let pulls = run(&mut policy, &bandit, 5000, 7);
         let tail_mean: f64 = pulls[4000..]
             .iter()
-            .map(|s| bandit.strategy_side_mean(s))
+            .map(|s| bandit.strategy_side_mean(s, bandit.means()))
             .sum::<f64>()
             / 1000.0;
         assert!(

@@ -233,17 +233,13 @@ impl NetworkedBandit {
     }
 
     // ----- optimal values per scenario --------------------------------------
+    //
+    // Every quantity takes the mean vector it is computed under: pass
+    // `self.means()` for the stationary world, or a round's drifted means
+    // (see [`DriftSchedule::means_at`](crate::drift::DriftSchedule::means_at)).
 
     /// `μ_1` — the best single-arm direct mean (SSO benchmark).
-    pub fn best_single_direct_mean(&self) -> f64 {
-        self.best_single_direct_mean_with(&self.means)
-    }
-
-    /// [`NetworkedBandit::best_single_direct_mean`] under explicit means —
-    /// the per-round benchmark of a drifting world (see
-    /// [`DriftSchedule::means_at`](crate::drift::DriftSchedule::means_at)).
-    /// With `means == self.means()` this computes the exact same value.
-    pub fn best_single_direct_mean_with(&self, means: &[f64]) -> f64 {
+    pub fn best_single_direct_mean(&self, means: &[f64]) -> f64 {
         means
             .iter()
             .copied()
@@ -255,17 +251,8 @@ impl NetworkedBandit {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
-    pub fn side_reward_mean(&self, i: ArmId) -> f64 {
-        self.side_reward_mean_with(i, &self.means)
-    }
-
-    /// [`NetworkedBandit::side_reward_mean`] under explicit means.
-    ///
-    /// # Panics
-    ///
     /// Panics if `i` is out of range of the graph or `means`.
-    pub fn side_reward_mean_with(&self, i: ArmId, means: &[f64]) -> f64 {
+    pub fn side_reward_mean(&self, i: ArmId, means: &[f64]) -> f64 {
         self.csr()
             .closed_neighborhood(i)
             .iter()
@@ -275,37 +262,28 @@ impl NetworkedBandit {
 
     /// `u_1 = max_i Σ_{j ∈ N_i} μ_j` — the best single-arm side-reward mean
     /// (SSR benchmark). Returns 0 for an empty instance.
-    pub fn best_single_side_mean(&self) -> f64 {
-        self.best_single_side_mean_with(&self.means)
-    }
-
-    /// [`NetworkedBandit::best_single_side_mean`] under explicit means.
     ///
     /// # Panics
     ///
     /// Panics if `means.len() < K`.
-    pub fn best_single_side_mean_with(&self, means: &[f64]) -> f64 {
+    pub fn best_single_side_mean(&self, means: &[f64]) -> f64 {
         (0..self.num_arms())
-            .map(|i| self.side_reward_mean_with(i, means))
+            .map(|i| self.side_reward_mean(i, means))
             .fold(0.0, f64::max)
     }
 
-    /// The arm attaining [`NetworkedBandit::best_single_side_mean`], if any.
+    /// The arm attaining [`NetworkedBandit::best_single_side_mean`] under
+    /// the stationary means, if any.
     pub fn best_single_side_arm(&self) -> Option<ArmId> {
         (0..self.num_arms()).max_by(|&a, &b| {
-            self.side_reward_mean(a)
-                .partial_cmp(&self.side_reward_mean(b))
+            self.side_reward_mean(a, &self.means)
+                .partial_cmp(&self.side_reward_mean(b, &self.means))
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
     }
 
     /// Direct mean of a strategy: `Σ_{i ∈ s} μ_i`.
-    pub fn strategy_direct_mean(&self, strategy: &[ArmId]) -> f64 {
-        self.strategy_direct_mean_with(strategy, &self.means)
-    }
-
-    /// [`NetworkedBandit::strategy_direct_mean`] under explicit means.
-    pub fn strategy_direct_mean_with(&self, strategy: &[ArmId], means: &[f64]) -> f64 {
+    pub fn strategy_direct_mean(&self, strategy: &[ArmId], means: &[f64]) -> f64 {
         strategy
             .iter()
             .filter(|&&i| i < self.num_arms())
@@ -314,12 +292,7 @@ impl NetworkedBandit {
     }
 
     /// Side-reward mean of a strategy: `σ_x = Σ_{i ∈ Y_x} μ_i`.
-    pub fn strategy_side_mean(&self, strategy: &[ArmId]) -> f64 {
-        self.strategy_side_mean_with(strategy, &self.means)
-    }
-
-    /// [`NetworkedBandit::strategy_side_mean`] under explicit means.
-    pub fn strategy_side_mean_with(&self, strategy: &[ArmId], means: &[f64]) -> f64 {
+    pub fn strategy_side_mean(&self, strategy: &[ArmId], means: &[f64]) -> f64 {
         self.graph
             .closed_neighborhood_of_set(strategy)
             .iter()
@@ -329,37 +302,27 @@ impl NetworkedBandit {
 
     /// `λ_1 = max_{x ∈ F} Σ_{i ∈ s_x} μ_i` — the best strategy direct mean (CSO
     /// benchmark) under a strategy family.
-    pub fn best_strategy_direct_mean(&self, family: &StrategyFamily) -> f64 {
-        self.best_strategy_direct_mean_with(family, &self.means)
-    }
-
-    /// [`NetworkedBandit::best_strategy_direct_mean`] under explicit means.
     ///
     /// # Panics
     ///
     /// Panics if `means.len() < K`.
-    pub fn best_strategy_direct_mean_with(&self, family: &StrategyFamily, means: &[f64]) -> f64 {
+    pub fn best_strategy_direct_mean(&self, family: &StrategyFamily, means: &[f64]) -> f64 {
         family
             .argmax_by_arm_weights(means, &self.graph)
-            .map(|s| self.strategy_direct_mean_with(&s, means))
+            .map(|s| self.strategy_direct_mean(&s, means))
             .unwrap_or(0.0)
     }
 
     /// `σ_1 = max_{x ∈ F} Σ_{i ∈ Y_x} μ_i` — the best strategy side-reward mean
     /// (CSR benchmark) under a strategy family.
-    pub fn best_strategy_side_mean(&self, family: &StrategyFamily) -> f64 {
-        self.best_strategy_side_mean_with(family, &self.means)
-    }
-
-    /// [`NetworkedBandit::best_strategy_side_mean`] under explicit means.
     ///
     /// # Panics
     ///
     /// Panics if `means.len() < K`.
-    pub fn best_strategy_side_mean_with(&self, family: &StrategyFamily, means: &[f64]) -> f64 {
+    pub fn best_strategy_side_mean(&self, family: &StrategyFamily, means: &[f64]) -> f64 {
         family
             .argmax_by_neighborhood_weights(means, &self.graph)
-            .map(|s| self.strategy_side_mean_with(&s, means))
+            .map(|s| self.strategy_side_mean(&s, means))
             .unwrap_or(0.0)
     }
 
@@ -731,14 +694,14 @@ mod tests {
     #[test]
     fn best_single_means_are_correct() {
         let env = small_instance();
-        assert_eq!(env.best_single_direct_mean(), 0.9);
+        assert_eq!(env.best_single_direct_mean(env.means()), 0.9);
         // Side reward means: u_0 = 0.2+0.9, u_1 = 0.2+0.9+0.4, u_2 = 0.9+0.4+0.6,
         // u_3 = 0.4+0.6.
-        assert!((env.side_reward_mean(0) - 1.1).abs() < 1e-12);
-        assert!((env.side_reward_mean(1) - 1.5).abs() < 1e-12);
-        assert!((env.side_reward_mean(2) - 1.9).abs() < 1e-12);
-        assert!((env.side_reward_mean(3) - 1.0).abs() < 1e-12);
-        assert!((env.best_single_side_mean() - 1.9).abs() < 1e-12);
+        assert!((env.side_reward_mean(0, env.means()) - 1.1).abs() < 1e-12);
+        assert!((env.side_reward_mean(1, env.means()) - 1.5).abs() < 1e-12);
+        assert!((env.side_reward_mean(2, env.means()) - 1.9).abs() < 1e-12);
+        assert!((env.side_reward_mean(3, env.means()) - 1.0).abs() < 1e-12);
+        assert!((env.best_single_side_mean(env.means()) - 1.9).abs() < 1e-12);
         assert_eq!(env.best_single_side_arm(), Some(2));
     }
 
@@ -754,11 +717,11 @@ mod tests {
     #[test]
     fn strategy_means_are_sums() {
         let env = small_instance();
-        assert!((env.strategy_direct_mean(&[0, 2]) - 0.6).abs() < 1e-12);
+        assert!((env.strategy_direct_mean(&[0, 2], env.means()) - 0.6).abs() < 1e-12);
         // Y_{0,2} = {0,1} ∪ {1,2,3} = {0,1,2,3}.
-        assert!((env.strategy_side_mean(&[0, 2]) - 2.1).abs() < 1e-12);
+        assert!((env.strategy_side_mean(&[0, 2], env.means()) - 2.1).abs() < 1e-12);
         // Out-of-range arms are ignored in the mean helpers.
-        assert!((env.strategy_direct_mean(&[0, 99]) - 0.2).abs() < 1e-12);
+        assert!((env.strategy_direct_mean(&[0, 99], env.means()) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -766,9 +729,9 @@ mod tests {
         let env = small_instance();
         let family = StrategyFamily::at_most_m(4, 2);
         // Best direct pair: arms 1 and 3 → 1.5.
-        assert!((env.best_strategy_direct_mean(&family) - 1.5).abs() < 1e-12);
+        assert!((env.best_strategy_direct_mean(&family, env.means()) - 1.5).abs() < 1e-12);
         // Best side pair covers everything: 2.1.
-        assert!((env.best_strategy_side_mean(&family) - 2.1).abs() < 1e-12);
+        assert!((env.best_strategy_side_mean(&family, env.means()) - 2.1).abs() < 1e-12);
     }
 
     #[test]
@@ -846,7 +809,7 @@ mod tests {
         let fb = env.pull_single(0, &mut rng);
         assert_eq!(fb.observations.len(), 1);
         assert_eq!(fb.side_reward, fb.direct_reward);
-        assert_eq!(env.best_single_side_mean(), 0.9);
+        assert_eq!(env.best_single_side_mean(env.means()), 0.9);
     }
 
     #[test]
@@ -855,7 +818,7 @@ mod tests {
         let arms = ArmSet::bernoulli(&[0.1, 0.5, 0.9]);
         let env = NetworkedBandit::new(graph, arms).unwrap();
         for i in 0..3 {
-            assert!((env.side_reward_mean(i) - 1.5).abs() < 1e-12);
+            assert!((env.side_reward_mean(i, env.means()) - 1.5).abs() < 1e-12);
         }
     }
 
@@ -883,7 +846,7 @@ mod tests {
         let fb = restored.pull_single(1, &mut rng);
         let observed: Vec<ArmId> = fb.observations.iter().map(|&(j, _)| j).collect();
         assert_eq!(observed, vec![0, 1, 2]);
-        assert!((restored.side_reward_mean(2) - 1.9).abs() < 1e-12);
+        assert!((restored.side_reward_mean(2, restored.means()) - 1.9).abs() < 1e-12);
         let samples = vec![1.0, 0.0, 1.0, 0.0];
         let strat_fb = freshly_deserialized(&env)
             .feedback_strategy_from_samples(&[0, 3], &samples)

@@ -118,13 +118,18 @@ impl DriftSchedule {
         self.gradual.is_none() && self.change_points.is_empty() && self.churn.is_empty()
     }
 
-    /// The cumulative rotation in effect at `round`.
-    pub fn rotation_at(&self, round: u64) -> usize {
+    /// The cumulative rotation in effect at `round`, modulo `num_arms`.
+    /// Each rotation is reduced while summing, so the sum cannot overflow
+    /// whatever rotations a schedule carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_arms` is 0.
+    pub fn rotation_at(&self, round: u64, num_arms: usize) -> usize {
         self.change_points
             .iter()
             .filter(|cp| cp.round <= round)
-            .map(|cp| cp.rotation)
-            .sum()
+            .fold(0, |acc, cp| (acc + cp.rotation % num_arms) % num_arms)
     }
 
     /// Writes the effective means of `round` (1-based) into `out`,
@@ -148,7 +153,7 @@ impl DriftSchedule {
         if k == 0 {
             return;
         }
-        let rotation = self.rotation_at(round) % k;
+        let rotation = self.rotation_at(round, k);
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = base[(i + rotation) % k];
         }
@@ -227,7 +232,30 @@ mod tests {
         assert_eq!(out, [0.5, 0.3, 0.1, 0.9]);
         drift.means_at(&BASE, 20, &mut out);
         assert_eq!(out, [0.1, 0.9, 0.5, 0.3]);
-        assert_eq!(drift.rotation_at(25), 3);
+        assert_eq!(drift.rotation_at(25, 4), 3);
+    }
+
+    #[test]
+    fn huge_rotations_accumulate_modulo_the_arm_count() {
+        // usize::MAX ≡ 3 (mod 12), so the accumulated rotation is 6.
+        let drift = DriftSchedule {
+            change_points: vec![
+                ChangePoint {
+                    round: 1,
+                    rotation: usize::MAX,
+                },
+                ChangePoint {
+                    round: 2,
+                    rotation: 3,
+                },
+            ],
+            ..DriftSchedule::default()
+        };
+        let base: Vec<f64> = (0..12).map(|i| i as f64 / 12.0).collect();
+        let mut out = vec![0.0; 12];
+        drift.means_at(&base, 2, &mut out);
+        assert_eq!(drift.rotation_at(2, 12), 6);
+        assert!((0..12).all(|i| out[i] == base[(i + 6) % 12]));
     }
 
     #[test]

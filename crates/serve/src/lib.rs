@@ -121,11 +121,11 @@
 //! ## Snapshot / restore
 //!
 //! [`ServeEngine::snapshot_tenant`] (or [`ServeEngine::evict_tenant`])
-//! captures a [`TenantSnapshot`] — environment in its serialized form
-//! (graph and arms, *not* the derived CSR layout), policy state, RNG, regret
-//! accounting. [`ServeEngine::restore_tenant`] rebuilds the derived CSR
-//! layout from the graph, so a restored tenant continues **bit-identically**
-//! on a fresh engine.
+//! captures a [`TenantSnapshot`] — the tenant's
+//! [`World`](netband_sim::World) (bandit, play, drift schedule and cached
+//! benchmark), policy state, RNG and reward totals.
+//! [`ServeEngine::restore_tenant`] recomputes nothing, so a restored tenant
+//! continues **bit-identically** on a fresh engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -353,7 +353,7 @@ impl Shard {
                 // The restored tenant's history is not reachable from this
                 // shard's log, so its complete durable state is logged.
                 let result = self.host(
-                    Tenant::from_snapshot(*snapshot),
+                    Ok(Tenant::from_snapshot(*snapshot)),
                     TraceKind::TenantRestored,
                     |stored| WalRecord::Restore {
                         snapshot: Box::new(stored),

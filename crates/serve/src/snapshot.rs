@@ -1,11 +1,10 @@
 //! Restartable tenant checkpoints.
 //!
 //! A [`TenantSnapshot`] captures everything a tenant needs to resume after an
-//! engine restart: the environment's *serialized form* (relation graph + arm
-//! set — deliberately **not** the derived CSR snapshot), the policy's learned
-//! state, the RNG state, and the running reward totals. Restoring goes through
-//! [`netband_env::NetworkedBandit::new`], which rebuilds the CSR snapshot —
-//! so a restored tenant continues bit-identically to the original.
+//! engine restart: its [`World`] (bandit, play, drift schedule and cached
+//! benchmark), the policy's learned state, the RNG state, and the running
+//! reward totals. A restore recomputes nothing, so a restored tenant
+//! continues bit-identically to the original.
 //!
 //! The snapshot is an in-memory value. Policies are captured as cloned
 //! boxes; the durable store instead persists tenants through the strict
@@ -13,46 +12,11 @@
 
 use rand::rngs::StdRng;
 
-use netband_env::{ArmSet, DriftSchedule, StrategyFamily};
-use netband_graph::RelationGraph;
-use netband_sim::{CombinatorialScenario, SingleScenario};
+use netband_sim::World;
+use netband_spec::AnyPolicy;
 
 use crate::api::{FlushPolicy, TenantId};
 use crate::metrics::TenantMetrics;
-use crate::tenant::{DynCombinatorialPolicy, DynSinglePolicy};
-
-/// Play-mode specific checkpoint state.
-pub(crate) enum SnapshotKind {
-    Single {
-        policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
-    },
-    Combinatorial {
-        policy: Box<dyn DynCombinatorialPolicy>,
-        family: StrategyFamily,
-        scenario: CombinatorialScenario,
-    },
-}
-
-impl Clone for SnapshotKind {
-    fn clone(&self) -> Self {
-        match self {
-            SnapshotKind::Single { policy, scenario } => SnapshotKind::Single {
-                policy: policy.clone_box(),
-                scenario: *scenario,
-            },
-            SnapshotKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-            } => SnapshotKind::Combinatorial {
-                policy: policy.clone_box(),
-                family: family.clone(),
-                scenario: *scenario,
-            },
-        }
-    }
-}
 
 /// A restartable checkpoint of one tenant. Produced by
 /// [`ServeEngine::snapshot_tenant`](crate::ServeEngine::snapshot_tenant) /
@@ -61,19 +25,16 @@ impl Clone for SnapshotKind {
 #[derive(Clone)]
 pub struct TenantSnapshot {
     pub(crate) id: TenantId,
-    pub(crate) graph: RelationGraph,
-    pub(crate) arms: ArmSet,
-    pub(crate) kind: SnapshotKind,
+    /// The tenant's world. Drift is a pure function of the round counter, so
+    /// the world plus `round` is all a restore needs to continue a drifting
+    /// world's means bit-exactly.
+    pub(crate) world: World,
+    pub(crate) policy: AnyPolicy,
     pub(crate) rng: StdRng,
     pub(crate) round: u64,
-    pub(crate) optimal: f64,
     /// Running sum of the per-round optima (the dynamic optima when the
     /// tenant drifts).
     pub(crate) optimal_sum: f64,
-    /// The tenant's drift schedule, if it hosts a drifting world. Drift is a
-    /// pure function of the round counter, so the schedule plus `round` is
-    /// all a restore needs to continue the drifting means bit-exactly.
-    pub(crate) drift: Option<DriftSchedule>,
     pub(crate) total_reward: f64,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
@@ -98,10 +59,7 @@ impl TenantSnapshot {
 
     /// Name of the checkpointed policy.
     pub fn policy_name(&self) -> &'static str {
-        match &self.kind {
-            SnapshotKind::Single { policy, .. } => policy.name(),
-            SnapshotKind::Combinatorial { policy, .. } => policy.name(),
-        }
+        self.policy.name()
     }
 
     /// The tenant's serving metrics at snapshot time.
@@ -116,7 +74,7 @@ impl std::fmt::Debug for TenantSnapshot {
             .field("id", &self.id)
             .field("policy", &self.policy_name())
             .field("round", &self.round)
-            .field("arms", &self.arms.len())
+            .field("arms", &self.world.bandit().num_arms())
             .finish_non_exhaustive()
     }
 }
@@ -126,8 +84,9 @@ mod tests {
     use super::*;
     use crate::tenant::{Tenant, TenantSpec};
     use netband_core::DflSso;
-    use netband_env::NetworkedBandit;
+    use netband_env::{ArmSet, NetworkedBandit};
     use netband_graph::generators;
+    use netband_sim::SingleScenario;
 
     fn snapshot_fixture() -> TenantSnapshot {
         let graph = generators::path(5);
@@ -165,8 +124,8 @@ mod tests {
     fn snapshots_clone_independently() {
         let snap = snapshot_fixture();
         let clone = snap.clone();
-        let mut a = Tenant::from_snapshot(snap).unwrap();
-        let mut b = Tenant::from_snapshot(clone).unwrap();
+        let mut a = Tenant::from_snapshot(snap);
+        let mut b = Tenant::from_snapshot(clone);
         for _ in 0..10 {
             assert_eq!(a.decide().unwrap(), b.decide().unwrap());
         }

@@ -1,9 +1,10 @@
 //! Tenants: one hosted bandit experiment each.
 //!
 //! A tenant couples a policy (any [`SinglePlayPolicy`] or
-//! [`CombinatorialPolicy`] implementation), a [`NetworkedBandit`] environment,
-//! and the serving bookkeeping: a seeded RNG, the PR-2 scratch buffers that
-//! make a decide allocation-free, a pending [`FeedbackBatch`] for delayed
+//! [`CombinatorialPolicy`] implementation), the [`World`] it plays (a
+//! [`NetworkedBandit`], the play and an optional drift schedule), and the
+//! serving bookkeeping: a seeded RNG, the scratch buffers that make a decide
+//! allocation-free, a pending [`FeedbackBatch`] for delayed
 //! feedback, running reward and benchmark totals (the regret proxy, summed
 //! in the batch simulation's order), and per-tenant metrics. Tenants are
 //! plain data owned by exactly one shard thread — all concurrency lives a
@@ -13,16 +14,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
-use netband_env::feasible::FeasibleSet;
 use netband_env::{DriftSchedule, FeedbackBatch, NetworkedBandit, PullBuffer, StrategyFamily};
-use netband_sim::step;
-use netband_sim::{CombinatorialScenario, SingleScenario};
+use netband_sim::{CombinatorialScenario, Play, SingleScenario, World};
+use netband_spec::AnyPolicy;
 
 use netband_obs::{DecideStage, StageClock, StageTimings};
 
 use crate::api::{DecideReply, FeedbackEvent, FlushPolicy, ServeError, TenantId};
 use crate::metrics::{TenantMetrics, TenantTelemetry};
-use crate::snapshot::{SnapshotKind, TenantSnapshot};
+use crate::snapshot::TenantSnapshot;
 
 // The clone-box policy traits moved to `netband_core::policy` (the spec
 // crate's `AnyPolicy` needs them below the serve layer); re-exported here so
@@ -58,6 +58,8 @@ pub use netband_core::policy::{DynCombinatorialPolicy, DynSinglePolicy};
 pub struct TenantSpec {
     id: TenantId,
     bandit: NetworkedBandit,
+    play: Play,
+    policy: AnyPolicy,
     seed: u64,
     flush: FlushPolicy,
     auto_feedback: bool,
@@ -69,19 +71,6 @@ pub struct TenantSpec {
     /// state on top. Hand-constructed specs have no document and therefore
     /// cannot be hosted by a store-enabled engine.
     origin: Option<Box<netband_spec::ScenarioSpec>>,
-    kind: SpecKind,
-}
-
-enum SpecKind {
-    Single {
-        policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
-    },
-    Combinatorial {
-        policy: Box<dyn DynCombinatorialPolicy>,
-        family: StrategyFamily,
-        scenario: CombinatorialScenario,
-    },
 }
 
 impl TenantSpec {
@@ -93,20 +82,8 @@ impl TenantSpec {
         scenario: SingleScenario,
         seed: u64,
     ) -> Self {
-        TenantSpec {
-            id: id.into(),
-            bandit,
-            seed,
-            flush: FlushPolicy::default(),
-            auto_feedback: false,
-            echo_feedback: true,
-            drift: None,
-            origin: None,
-            kind: SpecKind::Single {
-                policy: Box::new(policy),
-                scenario,
-            },
-        }
+        let play = Play::Single(scenario);
+        TenantSpec::new(id, bandit, play, AnyPolicy::single(policy), seed)
     }
 
     /// A combinatorial tenant: one feasible super-arm per decide.
@@ -118,70 +95,29 @@ impl TenantSpec {
         scenario: CombinatorialScenario,
         seed: u64,
     ) -> Self {
-        TenantSpec {
-            id: id.into(),
-            bandit,
-            seed,
-            flush: FlushPolicy::default(),
-            auto_feedback: false,
-            echo_feedback: true,
-            drift: None,
-            origin: None,
-            kind: SpecKind::Combinatorial {
-                policy: Box::new(policy),
-                family,
-                scenario,
-            },
-        }
+        let play = Play::Combinatorial(family, scenario);
+        TenantSpec::new(id, bandit, play, AnyPolicy::combinatorial(policy), seed)
     }
 
-    /// A single-play tenant from an already-boxed policy (the spec-driven
-    /// registration path, where the policy arrives as a
-    /// [`netband_spec::AnyPolicy`] variant).
-    pub fn single_boxed(
+    /// A tenant playing `play` with `policy`, whose play kind must match.
+    fn new(
         id: impl Into<TenantId>,
         bandit: NetworkedBandit,
-        policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
+        play: Play,
+        policy: AnyPolicy,
         seed: u64,
     ) -> Self {
         TenantSpec {
             id: id.into(),
             bandit,
+            play,
+            policy,
             seed,
             flush: FlushPolicy::default(),
             auto_feedback: false,
             echo_feedback: true,
             drift: None,
             origin: None,
-            kind: SpecKind::Single { policy, scenario },
-        }
-    }
-
-    /// A combinatorial tenant from an already-boxed policy; see
-    /// [`TenantSpec::single_boxed`].
-    pub fn combinatorial_boxed(
-        id: impl Into<TenantId>,
-        bandit: NetworkedBandit,
-        policy: Box<dyn DynCombinatorialPolicy>,
-        family: StrategyFamily,
-        scenario: CombinatorialScenario,
-        seed: u64,
-    ) -> Self {
-        TenantSpec {
-            id: id.into(),
-            bandit,
-            seed,
-            flush: FlushPolicy::default(),
-            auto_feedback: false,
-            echo_feedback: true,
-            drift: None,
-            origin: None,
-            kind: SpecKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-            },
         }
     }
 
@@ -199,39 +135,15 @@ impl TenantSpec {
         id: impl Into<TenantId>,
         scenario: &netband_spec::ScenarioSpec,
     ) -> Result<Self, ServeError> {
-        let mut built = scenario.build()?;
-        let flush = FlushPolicy::from(scenario.feedback);
-        let drift = built.drift.take();
-        let spec = match built.policy {
-            netband_spec::AnyPolicy::Single(policy) => TenantSpec::single_boxed(
-                id,
-                built.bandit,
-                policy,
-                netband_sim::spec::single_scenario(built.side_bonus),
-                built.seed,
-            ),
-            netband_spec::AnyPolicy::Combinatorial(policy) => {
-                let family = built.family.ok_or(ServeError::Spec(
-                    netband_spec::SpecError::MissingFamily {
-                        policy: "combinatorial",
-                    },
-                ))?;
-                TenantSpec::combinatorial_boxed(
-                    id,
-                    built.bandit,
-                    policy,
-                    family,
-                    netband_sim::spec::combinatorial_scenario(built.side_bonus),
-                    built.seed,
-                )
-            }
-        };
-        let mut spec = match drift {
-            Some(drift) => spec.with_drift(drift),
-            None => spec,
-        };
+        let built = scenario.build()?;
+        let play = netband_sim::spec::play(&built)?;
+        let mut spec = TenantSpec::new(id, built.bandit, play, built.policy, built.seed);
+        // Drift that arrives inside the document is attached before the
+        // origin is recorded, so spec-driven drifting tenants stay
+        // persistable.
+        spec.drift = built.drift;
         spec.origin = Some(Box::new(scenario.clone()));
-        Ok(spec.with_flush(flush))
+        Ok(spec.with_flush(FlushPolicy::from(scenario.feedback)))
     }
 
     /// The tenant id the spec will be registered under.
@@ -249,9 +161,7 @@ impl TenantSpec {
         // A hand-attached schedule is not part of the scenario document the
         // spec may have been built from, so the spec can no longer be rebuilt
         // from that document — drop the origin rather than let a durable
-        // recovery silently resurrect the tenant without its drift. (Drift
-        // that arrives *inside* the document is attached before the origin is
-        // recorded, so spec-driven drifting tenants stay persistable.)
+        // recovery silently resurrect the tenant without its drift.
         self.origin = None;
         self
     }
@@ -279,17 +189,15 @@ impl TenantSpec {
     }
 }
 
-/// Internal play-mode state of a tenant.
+/// Internal play-mode state of a tenant: its policy and the feedback queued
+/// for it. The play itself lives in the tenant's [`World`].
 pub(crate) enum TenantKind {
     Single {
         policy: Box<dyn DynSinglePolicy>,
-        scenario: SingleScenario,
         pending: FeedbackBatch<netband_env::SinglePlayFeedback>,
     },
     Combinatorial {
         policy: Box<dyn DynCombinatorialPolicy>,
-        family: StrategyFamily,
-        scenario: CombinatorialScenario,
         pending: FeedbackBatch<netband_env::CombinatorialFeedback>,
         strategy_scratch: Vec<crate::ArmId>,
     },
@@ -326,24 +234,17 @@ fn set_combinatorial_event(
 /// One hosted experiment, owned by a single shard thread.
 pub(crate) struct Tenant {
     pub(crate) id: TenantId,
-    pub(crate) bandit: NetworkedBandit,
+    /// The bandit, the play and the drift schedule, with the cached
+    /// stationary benchmark.
+    pub(crate) world: World,
     pub(crate) kind: TenantKind,
     pub(crate) rng: StdRng,
     pub(crate) buf: PullBuffer,
     /// Rounds served so far; the next decide is round `round + 1` (1-based,
     /// matching the simulation runner's time slots).
     pub(crate) round: u64,
-    pub(crate) optimal: f64,
     /// Running sum of per-round optima (the dynamic optima when drifting).
     pub(crate) optimal_sum: f64,
-    /// Drift schedule of the hosted world, `None` for stationary tenants
-    /// (trivial schedules are dropped in [`Tenant::new`]).
-    pub(crate) drift: Option<DriftSchedule>,
-    /// Stationary base means the drift schedule perturbs; empty when
-    /// stationary (recomputed from the arm set on restore, never serialized).
-    pub(crate) base_means: Vec<f64>,
-    /// Per-decide scratch for the drifted mean vector.
-    pub(crate) drift_means: Vec<f64>,
     pub(crate) total_reward: f64,
     pub(crate) flush: FlushPolicy,
     pub(crate) auto_feedback: bool,
@@ -358,82 +259,31 @@ pub(crate) struct Tenant {
 impl Tenant {
     /// Builds the tenant, validating the flush policy (a hand-built
     /// `FlushPolicy { max_pending: 0, .. }` is rejected here, before the
-    /// tenant reaches a shard).
+    /// tenant reaches a shard). A new tenant is restored from its round-0
+    /// checkpoint.
     pub(crate) fn new(spec: TenantSpec) -> Result<Tenant, ServeError> {
         spec.flush.validate()?;
-        let TenantSpec {
-            id,
-            bandit,
-            seed,
-            flush,
-            auto_feedback,
-            echo_feedback,
-            drift,
-            origin,
-            kind,
-        } = spec;
-        let drift = drift.filter(|d| !d.is_trivial());
-        let base_means = if drift.is_some() {
-            bandit.means().to_vec()
-        } else {
-            Vec::new()
-        };
-        let drift_means = vec![0.0; base_means.len()];
-        let (kind, optimal) = match kind {
-            SpecKind::Single { policy, scenario } => {
-                let optimal = step::single_benchmark(&bandit, scenario);
-                (
-                    TenantKind::Single {
-                        policy,
-                        scenario,
-                        pending: FeedbackBatch::new(),
-                    },
-                    optimal,
-                )
-            }
-            SpecKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-            } => {
-                let optimal = step::combinatorial_benchmark(&bandit, &family, scenario);
-                (
-                    TenantKind::Combinatorial {
-                        policy,
-                        family,
-                        scenario,
-                        pending: FeedbackBatch::new(),
-                        strategy_scratch: Vec::new(),
-                    },
-                    optimal,
-                )
-            }
-        };
-        Ok(Tenant {
-            id,
-            bandit,
-            kind,
-            rng: StdRng::seed_from_u64(seed),
-            buf: PullBuffer::new(),
+        Ok(Tenant::from_snapshot(TenantSnapshot {
+            id: spec.id,
+            world: World::new(spec.bandit, spec.play, spec.drift),
+            policy: spec.policy,
+            rng: StdRng::seed_from_u64(spec.seed),
             round: 0,
-            optimal,
             optimal_sum: 0.0,
-            drift,
-            base_means,
-            drift_means,
             total_reward: 0.0,
-            flush,
-            auto_feedback,
-            echo_feedback,
+            flush: spec.flush,
+            auto_feedback: spec.auto_feedback,
+            echo_feedback: spec.echo_feedback,
             metrics: TenantMetrics::default(),
-            origin,
-        })
+            origin: spec.origin,
+        }))
     }
 
     /// Serves one decision into a caller-owned reply slot. The per-round
-    /// arithmetic (pull, reward, running totals, optional immediate update)
-    /// matches the batch runner expression for expression, which is what the
-    /// golden-trace equivalence suite pins through the echoed replies.
+    /// step (benchmark, pull, score, running totals, optional immediate
+    /// update) is the batch runner's, made through the same [`World`], which
+    /// is what the golden-trace equivalence suite pins through the echoed
+    /// replies.
     ///
     /// Every field of `reply` is overwritten; a warm slot (same play mode,
     /// echo setting, and similar observation sizes as the previous occupant)
@@ -456,94 +306,41 @@ impl Tenant {
         }
         self.round += 1;
         let t = self.round as usize;
-        let echo = self.echo_feedback;
-        let auto = self.auto_feedback;
         // Drift is a pure function of the (already advanced) round counter:
-        // the drifted means and the per-round optimum consume no randomness,
-        // which is what keeps snapshot/restore bit-exact mid-drift.
-        let drifting = self.drift.is_some();
-        if let Some(schedule) = &self.drift {
-            schedule.means_at(&self.base_means, self.round, &mut self.drift_means);
-        }
+        // the benchmark consumes no randomness, which is what keeps
+        // snapshot/restore bit-exact mid-drift.
+        let optimal = self.world.benchmark(self.round);
         match &mut self.kind {
-            TenantKind::Single {
-                policy, scenario, ..
-            } => {
-                let optimal = if drifting {
-                    step::single_benchmark_with(&self.bandit, &self.drift_means, *scenario)
-                } else {
-                    self.optimal
-                };
+            TenantKind::Single { policy, .. } => {
                 let arm = policy.select_arm(t);
                 lap(&mut stages, DecideStage::Select);
-                let feedback = if drifting {
-                    self.buf.pull_single_drifted(
-                        &self.bandit,
-                        &self.drift_means,
-                        arm,
-                        &mut self.rng,
-                    )
-                } else {
-                    self.buf.pull_single(&self.bandit, arm, &mut self.rng)
-                };
+                let feedback = self.world.pull_arm(arm, &mut self.rng, &mut self.buf);
                 lap(&mut stages, DecideStage::Pull);
-                let (reward, _mean) = if drifting {
-                    step::score_single_with(&self.bandit, &self.drift_means, *scenario, feedback)
-                } else {
-                    step::score_single(&self.bandit, *scenario, feedback)
-                };
+                let (reward, _mean) = self.world.score_arm(feedback);
                 self.total_reward += reward;
                 self.optimal_sum += optimal;
-                if auto {
+                if self.auto_feedback {
                     policy.update(t, feedback);
                 }
                 lap(&mut stages, DecideStage::Score);
-                reply.round = self.round;
                 reply.decision.set_arm(arm);
                 reply.reward = reward;
-                if echo {
+                if self.echo_feedback {
                     set_single_event(&mut reply.feedback, feedback);
                 } else {
                     reply.feedback = None;
                 }
-                lap(&mut stages, DecideStage::Reply);
             }
             TenantKind::Combinatorial {
                 policy,
-                family,
-                scenario,
                 strategy_scratch,
                 ..
             } => {
-                let optimal = if drifting {
-                    step::combinatorial_benchmark_with(
-                        &self.bandit,
-                        family,
-                        &self.drift_means,
-                        *scenario,
-                    )
-                } else {
-                    self.optimal
-                };
                 policy.select_strategy_into(t, strategy_scratch);
                 lap(&mut stages, DecideStage::Select);
-                debug_assert!(
-                    family.contains(strategy_scratch, self.bandit.graph()),
-                    "tenant {} policy {} proposed an infeasible strategy {strategy_scratch:?}",
-                    self.id,
-                    policy.name()
-                );
-                let pulled = if drifting {
-                    self.buf.pull_strategy_drifted(
-                        &self.bandit,
-                        &self.drift_means,
-                        strategy_scratch,
-                        &mut self.rng,
-                    )
-                } else {
-                    self.buf
-                        .pull_strategy(&self.bandit, strategy_scratch, &mut self.rng)
-                };
+                let pulled =
+                    self.world
+                        .pull_strategy(strategy_scratch, &mut self.rng, &mut self.buf);
                 let feedback = match pulled {
                     Ok(fb) => fb,
                     Err(e) => {
@@ -554,28 +351,24 @@ impl Tenant {
                     }
                 };
                 lap(&mut stages, DecideStage::Pull);
-                let (reward, _mean) = if drifting {
-                    step::score_combinatorial_with(&self.drift_means, *scenario, feedback)
-                } else {
-                    step::score_combinatorial(&self.bandit, *scenario, feedback)
-                };
+                let (reward, _mean) = self.world.score_strategy(feedback);
                 self.total_reward += reward;
                 self.optimal_sum += optimal;
-                if auto {
+                if self.auto_feedback {
                     policy.update(t, feedback);
                 }
                 lap(&mut stages, DecideStage::Score);
-                reply.round = self.round;
                 reply.decision.set_strategy(&feedback.strategy);
                 reply.reward = reward;
-                if echo {
+                if self.echo_feedback {
                     set_combinatorial_event(&mut reply.feedback, feedback);
                 } else {
                     reply.feedback = None;
                 }
-                lap(&mut stages, DecideStage::Reply);
             }
         }
+        reply.round = self.round;
+        lap(&mut stages, DecideStage::Reply);
         self.metrics.decides += 1;
         Ok(())
     }
@@ -660,34 +453,19 @@ impl Tenant {
     /// the snapshot's policy state is complete.
     pub(crate) fn snapshot(&mut self) -> TenantSnapshot {
         self.flush_pending();
-        let kind = match &self.kind {
-            TenantKind::Single {
-                policy, scenario, ..
-            } => SnapshotKind::Single {
-                policy: policy.clone_box(),
-                scenario: *scenario,
-            },
-            TenantKind::Combinatorial {
-                policy,
-                family,
-                scenario,
-                ..
-            } => SnapshotKind::Combinatorial {
-                policy: policy.clone_box(),
-                family: family.clone(),
-                scenario: *scenario,
-            },
+        let policy = match &self.kind {
+            TenantKind::Single { policy, .. } => AnyPolicy::Single(policy.clone_box()),
+            TenantKind::Combinatorial { policy, .. } => {
+                AnyPolicy::Combinatorial(policy.clone_box())
+            }
         };
         TenantSnapshot {
             id: self.id.clone(),
-            graph: self.bandit.graph().clone(),
-            arms: self.bandit.arms().clone(),
-            kind,
+            world: self.world.clone(),
+            policy,
             rng: self.rng.clone(),
             round: self.round,
-            optimal: self.optimal,
             optimal_sum: self.optimal_sum,
-            drift: self.drift.clone(),
             total_reward: self.total_reward,
             flush: self.flush,
             auto_feedback: self.auto_feedback,
@@ -697,74 +475,37 @@ impl Tenant {
         }
     }
 
-    /// Rebuilds a tenant from a checkpoint. The environment is reconstructed
-    /// through [`NetworkedBandit::new`], which rebuilds the derived CSR
-    /// snapshot from the relation graph.
-    pub(crate) fn from_snapshot(snapshot: TenantSnapshot) -> Result<Tenant, ServeError> {
-        let TenantSnapshot {
-            id,
-            graph,
-            arms,
-            kind,
-            rng,
-            round,
-            optimal,
-            optimal_sum,
-            drift,
-            total_reward,
-            flush,
-            auto_feedback,
-            echo_feedback,
-            metrics,
-            origin,
-        } = snapshot;
-        let bandit = NetworkedBandit::new(graph, arms)?;
-        // Base means are derived from the arm set, so they are rebuilt rather
-        // than serialized; drift itself is a pure function of the restored
-        // round counter, so the drifting world resumes bit-exactly.
-        let base_means = if drift.is_some() {
-            bandit.means().to_vec()
-        } else {
-            Vec::new()
-        };
-        let drift_means = vec![0.0; base_means.len()];
-        let kind = match kind {
-            SnapshotKind::Single { policy, scenario } => TenantKind::Single {
+    /// Rebuilds a tenant from a checkpoint. The checkpoint carries the
+    /// tenant's [`World`] whole, cached benchmark included, so a restore
+    /// recomputes no optimum; a drifting world resumes bit-exactly because
+    /// drift is a pure function of the restored round counter.
+    pub(crate) fn from_snapshot(snapshot: TenantSnapshot) -> Tenant {
+        let kind = match snapshot.policy {
+            AnyPolicy::Single(policy) => TenantKind::Single {
                 policy,
-                scenario,
                 pending: FeedbackBatch::new(),
             },
-            SnapshotKind::Combinatorial {
+            AnyPolicy::Combinatorial(policy) => TenantKind::Combinatorial {
                 policy,
-                family,
-                scenario,
-            } => TenantKind::Combinatorial {
-                policy,
-                family,
-                scenario,
                 pending: FeedbackBatch::new(),
                 strategy_scratch: Vec::new(),
             },
         };
-        Ok(Tenant {
-            id,
-            bandit,
+        Tenant {
+            id: snapshot.id,
+            world: snapshot.world,
             kind,
-            rng,
+            rng: snapshot.rng,
             buf: PullBuffer::new(),
-            round,
-            optimal,
-            optimal_sum,
-            drift,
-            base_means,
-            drift_means,
-            total_reward,
-            flush,
-            auto_feedback,
-            echo_feedback,
-            metrics,
-            origin,
-        })
+            round: snapshot.round,
+            optimal_sum: snapshot.optimal_sum,
+            total_reward: snapshot.total_reward,
+            flush: snapshot.flush,
+            auto_feedback: snapshot.auto_feedback,
+            echo_feedback: snapshot.echo_feedback,
+            metrics: snapshot.metrics,
+            origin: snapshot.origin,
+        }
     }
 
     /// Name of the hosted policy.
@@ -825,28 +566,16 @@ mod tests {
     }
 
     /// Rebuilds one round's `(optimal − reward, optimal − mean)` regret of a
-    /// `single_spec` tenant from its echoed reply, with the scoring calls the
-    /// tenant and the batch runner share.
+    /// `single_spec` tenant from its echoed reply, with the step the tenant
+    /// and the batch runner share.
     fn round_regret(drift: Option<&DriftSchedule>, reply: &DecideReply) -> (f64, f64) {
-        let bandit = fixture_bandit(3);
-        let scenario = SingleScenario::SideObservation;
+        let play = Play::Single(SingleScenario::SideObservation);
+        let mut world = World::new(fixture_bandit(3), play, drift.cloned());
+        let optimal = world.benchmark(reply.round);
         let Some(FeedbackEvent::Single(feedback)) = &reply.feedback else {
-            panic!("single-play tenants echo single-play feedback");
+            panic!("the tenant echoes single-play feedback");
         };
-        let (optimal, (reward, mean)) = match drift {
-            Some(schedule) => {
-                let mut means = vec![0.0; bandit.num_arms()];
-                schedule.means_at(bandit.means(), reply.round, &mut means);
-                (
-                    step::single_benchmark_with(&bandit, &means, scenario),
-                    step::score_single_with(&bandit, &means, scenario, feedback),
-                )
-            }
-            None => (
-                step::single_benchmark(&bandit, scenario),
-                step::score_single(&bandit, scenario, feedback),
-            ),
-        };
+        let (reward, mean) = world.score_arm(feedback);
         assert_eq!(reward.to_bits(), reply.reward.to_bits());
         (optimal - reward, optimal - mean)
     }
@@ -875,7 +604,8 @@ mod tests {
             expected.total_reward.to_bits()
         );
         assert_eq!(trace, expected.trace);
-        assert_eq!(tenant.optimal.to_bits(), expected.optimal_mean.to_bits());
+        let optimal = tenant.world.mean_benchmark(tenant.optimal_sum, 200);
+        assert_eq!(optimal.to_bits(), expected.optimal_mean.to_bits());
     }
 
     #[test]
@@ -964,7 +694,7 @@ mod tests {
         }
         let snapshot = original.snapshot();
         assert_eq!(snapshot.round(), 50);
-        let mut restored = Tenant::from_snapshot(snapshot).unwrap();
+        let mut restored = Tenant::from_snapshot(snapshot);
         // The restored tenant and the original continue bit-identically.
         for _ in 0..50 {
             let a = original.decide().unwrap();
@@ -989,14 +719,9 @@ mod tests {
         };
         let bandit = fixture_bandit(3);
         let mut policy = DflSso::new(bandit.graph().clone());
-        let expected = netband_sim::run_single_drifted(
-            &bandit,
-            &drift,
-            &mut policy,
-            SingleScenario::SideObservation,
-            200,
-            77,
-        );
+        let play = Play::Single(SingleScenario::SideObservation);
+        let world = World::new(bandit, play, Some(drift.clone()));
+        let expected = netband_sim::run_single_in(world, &mut policy, 200, 77);
 
         let mut tenant = Tenant::new(
             single_spec("t", 77)
@@ -1045,7 +770,7 @@ mod tests {
         for _ in 0..40 {
             original.decide().unwrap();
         }
-        let mut restored = Tenant::from_snapshot(original.snapshot()).unwrap();
+        let mut restored = Tenant::from_snapshot(original.snapshot());
         for _ in 0..40 {
             let a = original.decide().unwrap();
             let b = restored.decide().unwrap();
@@ -1070,7 +795,6 @@ mod tests {
                 .with_auto_feedback(true),
         )
         .unwrap();
-        assert!(trivial.drift.is_none());
         for _ in 0..50 {
             let a = plain.decide().unwrap();
             let b = trivial.decide().unwrap();
@@ -1078,6 +802,8 @@ mod tests {
         }
         assert_eq!(plain.total_reward.to_bits(), trivial.total_reward.to_bits());
         assert_eq!(plain.optimal_sum.to_bits(), trivial.optimal_sum.to_bits());
+        // The schedule was dropped: only a drifting world reads the sum.
+        assert!(!trivial.world.mean_benchmark(f64::NAN, 50).is_nan());
     }
 
     #[test]

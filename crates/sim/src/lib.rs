@@ -8,9 +8,9 @@
 //!
 //! * [`runner`] — single-run drivers for the four scenarios, including the
 //!   coupled driver that feeds several policies the same sample path (Fig. 3).
-//! * [`step`] — the per-round reward/benchmark scoring shared by the runners
-//!   and the `netband-serve` engine (one source of truth for the float
-//!   expressions the golden traces pin).
+//! * [`step`] — the per-round step ([`World`], [`Play`]): benchmark, pull and
+//!   score, shared by the runners and the `netband-serve` engine (one source
+//!   of truth for the float expressions the golden traces pin).
 //! * [`regret`] — per-round regret traces (realised and pseudo), cumulative and
 //!   time-averaged views.
 //! * [`spec`] — spec-driven entry points ([`run_spec`] / [`replicate_spec`])
@@ -60,8 +60,9 @@ pub mod sweep;
 pub use regret::RegretTrace;
 pub use replicate::{replicate, AveragedRun, ReplicationConfig};
 pub use runner::{
-    run_combinatorial, run_combinatorial_drifted, run_single, run_single_coupled,
-    run_single_drifted, CombinatorialScenario, RunResult, SingleScenario,
+    run_combinatorial, run_combinatorial_in, run_single, run_single_coupled, run_single_in,
+    CombinatorialScenario, RunResult, SingleScenario,
 };
 pub use spec::{replicate_spec, run_built, run_spec};
+pub use step::{Play, World};
 pub use sweep::Sweep;

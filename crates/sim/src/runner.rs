@@ -11,16 +11,19 @@
 //!   strategy's direct sum `R_{I_t,t}`; the benchmark is `λ_1` (Equation 2).
 //! * [`CombinatorialScenario::SideReward`] (CSR) — the reward is the coverage
 //!   sum `CB_{I_t,t}`; the benchmark is `σ_1` (Equation 4).
+//!
+//! There is one loop per play kind ([`run_single_in`],
+//! [`run_combinatorial_in`]), stepping through a [`World`] that may drift,
+//! plus the coupled loop of Fig. 3 ([`run_single_coupled`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use netband_core::{CombinatorialPolicy, SinglePlayPolicy};
-use netband_env::feasible::FeasibleSet;
-use netband_env::{DriftSchedule, EnvError, NetworkedBandit, PullBuffer, StrategyFamily};
+use netband_env::{EnvError, NetworkedBandit, PullBuffer, StrategyFamily};
 
 use crate::regret::RegretTrace;
-use crate::step;
+use crate::step::{Play, World};
 
 /// Reward model of a single-play run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,63 +85,41 @@ pub fn run_single<P: SinglePlayPolicy + ?Sized>(
     horizon: usize,
     seed: u64,
 ) -> RunResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let optimal = step::single_benchmark(bandit, scenario);
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    // All per-round storage (sample vector, observation list) lives in `buf`;
-    // after the first round the loop allocates nothing.
-    let mut buf = PullBuffer::new();
-    for t in 1..=horizon {
-        let arm = policy.select_arm(t);
-        let feedback = buf.pull_single(bandit, arm, &mut rng);
-        let (reward, mean) = step::score_single(bandit, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
-    }
-    RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: optimal,
-        total_reward,
-        trace,
-    }
+    let world = World::new(bandit.clone(), Play::Single(scenario), None);
+    run_single_in(world, policy, horizon, seed)
 }
 
-/// Runs a single-play policy for `horizon` slots in a drifting world.
+/// Runs a single-play policy for `horizon` slots in `world`, stationary or
+/// drifting.
 ///
-/// The arm means of slot `t` are `drift.means_at(base, t)` where `base` is
-/// the bandit's stationary mean vector; rewards are Bernoulli draws from the
-/// drifted means (one RNG draw per arm per slot). Regret is charged against
-/// the *dynamic* oracle — the per-slot optimum under that slot's means — and
-/// the reported `optimal_mean` is the horizon average of the per-slot optima.
+/// Regret is charged against each slot's benchmark ([`World::benchmark`]):
+/// in a drifting world that is the *dynamic* oracle, and the reported
+/// `optimal_mean` is the horizon average of the per-slot optima. Drift is a
+/// pure function of the slot number (it consumes no randomness), so
+/// `(world, seed)` pins the whole sample path bit for bit — the property the
+/// serving engine's snapshot/restore equivalence relies on.
 ///
-/// Drift is a pure function of the slot number (it consumes no randomness),
-/// so `(bandit, drift, seed)` pins the whole sample path bit for bit — the
-/// property the serving engine's snapshot/restore equivalence relies on.
-pub fn run_single_drifted<P: SinglePlayPolicy + ?Sized>(
-    bandit: &NetworkedBandit,
-    drift: &DriftSchedule,
+/// # Panics
+///
+/// Panics if `world` is not played with [`Play::Single`].
+pub fn run_single_in<P: SinglePlayPolicy + ?Sized>(
+    mut world: World,
     policy: &mut P,
-    scenario: SingleScenario,
     horizon: usize,
     seed: u64,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = bandit.means().to_vec();
-    let mut means = vec![0.0; base.len()];
-    let mut optimal_sum = 0.0;
     let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
+    let (mut total_reward, mut optimal_sum) = (0.0, 0.0);
+    // All per-round storage (sample vector, observation list) lives in `buf`;
+    // after the first round the loop allocates nothing.
     let mut buf = PullBuffer::new();
     for t in 1..=horizon {
-        drift.means_at(&base, t as u64, &mut means);
-        let optimal = step::single_benchmark_with(bandit, &means, scenario);
+        let optimal = world.benchmark(t as u64);
         optimal_sum += optimal;
         let arm = policy.select_arm(t);
-        let feedback = buf.pull_single_drifted(bandit, &means, arm, &mut rng);
-        let (reward, mean) = step::score_single_with(bandit, &means, scenario, feedback);
+        let feedback = world.pull_arm(arm, &mut rng, &mut buf);
+        let (reward, mean) = world.score_arm(feedback);
         total_reward += reward;
         trace.record(optimal - reward, optimal - mean);
         policy.update(t, feedback);
@@ -146,11 +127,7 @@ pub fn run_single_drifted<P: SinglePlayPolicy + ?Sized>(
     RunResult {
         policy: policy.name().to_owned(),
         horizon,
-        optimal_mean: if horizon == 0 {
-            0.0
-        } else {
-            optimal_sum / horizon as f64
-        },
+        optimal_mean: world.mean_benchmark(optimal_sum, horizon),
         total_reward,
         trace,
     }
@@ -168,7 +145,8 @@ pub fn run_single_coupled(
     seed: u64,
 ) -> Vec<RunResult> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let optimal = step::single_benchmark(bandit, scenario);
+    let mut world = World::new(bandit.clone(), Play::Single(scenario), None);
+    let optimal = world.benchmark(1);
     let mut traces: Vec<RegretTrace> = policies
         .iter()
         .map(|_| RegretTrace::with_capacity(horizon))
@@ -183,7 +161,7 @@ pub fn run_single_coupled(
         for (idx, policy) in policies.iter_mut().enumerate() {
             let arm = policy.select_arm(t);
             let feedback = buf.single_from_samples(bandit, arm, &samples);
-            let (reward, mean) = step::score_single(bandit, scenario, feedback);
+            let (reward, mean) = world.score_arm(feedback);
             rewards[idx] += reward;
             traces[idx].record(optimal - reward, optimal - mean);
             policy.update(t, feedback);
@@ -217,73 +195,45 @@ pub fn run_combinatorial<P: CombinatorialPolicy + ?Sized>(
     horizon: usize,
     seed: u64,
 ) -> Result<RunResult, EnvError> {
+    let world = World::new(
+        bandit.clone(),
+        Play::Combinatorial(family.clone(), scenario),
+        None,
+    );
+    run_combinatorial_in(world, policy, horizon, seed)
+}
+
+/// Runs a combinatorial policy for `horizon` slots in `world`, stationary or
+/// drifting; see [`run_single_in`] for the regret semantics.
+///
+/// # Errors
+///
+/// Returns an [`EnvError`] if the policy ever proposes an invalid strategy
+/// (empty or referencing a non-existent arm).
+///
+/// # Panics
+///
+/// Panics if `world` is not played with [`Play::Combinatorial`].
+pub fn run_combinatorial_in<P: CombinatorialPolicy + ?Sized>(
+    mut world: World,
+    policy: &mut P,
+    horizon: usize,
+    seed: u64,
+) -> Result<RunResult, EnvError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let optimal = step::combinatorial_benchmark(bandit, family, scenario);
     let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
+    let (mut total_reward, mut optimal_sum) = (0.0, 0.0);
     // Sample vector, observation set, observation list, and the selected
     // strategy all live in reused buffers; the loop is allocation-free after
     // round one.
     let mut buf = PullBuffer::new();
     let mut strategy = Vec::new();
     for t in 1..=horizon {
-        policy.select_strategy_into(t, &mut strategy);
-        debug_assert!(
-            family.contains(&strategy, bandit.graph()),
-            "policy {} proposed an infeasible strategy {strategy:?}",
-            policy.name()
-        );
-        let feedback = buf.pull_strategy(bandit, &strategy, &mut rng)?;
-        let (reward, mean) = step::score_combinatorial(bandit, scenario, feedback);
-        total_reward += reward;
-        trace.record(optimal - reward, optimal - mean);
-        policy.update(t, feedback);
-    }
-    Ok(RunResult {
-        policy: policy.name().to_owned(),
-        horizon,
-        optimal_mean: optimal,
-        total_reward,
-        trace,
-    })
-}
-
-/// Runs a combinatorial policy for `horizon` slots in a drifting world; see
-/// [`run_single_drifted`] for the drift and regret semantics.
-///
-/// # Errors
-///
-/// Returns an [`EnvError`] if the policy ever proposes an invalid strategy
-/// (empty or referencing a non-existent arm).
-pub fn run_combinatorial_drifted<P: CombinatorialPolicy + ?Sized>(
-    bandit: &NetworkedBandit,
-    family: &StrategyFamily,
-    drift: &DriftSchedule,
-    policy: &mut P,
-    scenario: CombinatorialScenario,
-    horizon: usize,
-    seed: u64,
-) -> Result<RunResult, EnvError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = bandit.means().to_vec();
-    let mut means = vec![0.0; base.len()];
-    let mut optimal_sum = 0.0;
-    let mut trace = RegretTrace::with_capacity(horizon);
-    let mut total_reward = 0.0;
-    let mut buf = PullBuffer::new();
-    let mut strategy = Vec::new();
-    for t in 1..=horizon {
-        drift.means_at(&base, t as u64, &mut means);
-        let optimal = step::combinatorial_benchmark_with(bandit, family, &means, scenario);
+        let optimal = world.benchmark(t as u64);
         optimal_sum += optimal;
         policy.select_strategy_into(t, &mut strategy);
-        debug_assert!(
-            family.contains(&strategy, bandit.graph()),
-            "policy {} proposed an infeasible strategy {strategy:?}",
-            policy.name()
-        );
-        let feedback = buf.pull_strategy_drifted(bandit, &means, &strategy, &mut rng)?;
-        let (reward, mean) = step::score_combinatorial_with(&means, scenario, feedback);
+        let feedback = world.pull_strategy(&strategy, &mut rng, &mut buf)?;
+        let (reward, mean) = world.score_strategy(feedback);
         total_reward += reward;
         trace.record(optimal - reward, optimal - mean);
         policy.update(t, feedback);
@@ -291,11 +241,7 @@ pub fn run_combinatorial_drifted<P: CombinatorialPolicy + ?Sized>(
     Ok(RunResult {
         policy: policy.name().to_owned(),
         horizon,
-        optimal_mean: if horizon == 0 {
-            0.0
-        } else {
-            optimal_sum / horizon as f64
-        },
+        optimal_mean: world.mean_benchmark(optimal_sum, horizon),
         total_reward,
         trace,
     })
@@ -306,6 +252,7 @@ mod tests {
     use super::*;
     use netband_baselines::Moss;
     use netband_core::{DflCso, DflCsr, DflSso, DflSsr};
+    use netband_env::feasible::FeasibleSet;
     use netband_env::ArmSet;
     use netband_graph::generators;
 
@@ -325,7 +272,7 @@ mod tests {
         assert_eq!(result.trace.len(), 500);
         assert!(result.total_reward > 0.0);
         assert_eq!(result.policy, "DFL-SSO");
-        assert!((result.optimal_mean - env.best_single_direct_mean()).abs() < 1e-12);
+        assert!((result.optimal_mean - env.best_single_direct_mean(env.means())).abs() < 1e-12);
         // Pseudo-regret is always non-negative for the matching benchmark.
         assert!(result.trace.pseudo().iter().all(|&r| r >= -1e-12));
     }
@@ -335,7 +282,7 @@ mod tests {
         let env = bandit(10, 0.4, 3);
         let mut policy = DflSsr::new(env.graph().clone());
         let result = run_single(&env, &mut policy, SingleScenario::SideReward, 300, 4);
-        assert!((result.optimal_mean - env.best_single_side_mean()).abs() < 1e-12);
+        assert!((result.optimal_mean - env.best_single_side_mean(env.means())).abs() < 1e-12);
         assert!(result.trace.pseudo().iter().all(|&r| r >= -1e-12));
     }
 
@@ -355,6 +302,32 @@ mod tests {
         // Identical policies on an identical sample path behave identically.
         assert_eq!(results[0].trace, results[1].trace);
         assert_eq!(results[0].total_reward, results[1].total_reward);
+    }
+
+    #[test]
+    fn one_policy_coupled_run_equals_run_single() {
+        // Both loops draw the whole reward vector with `sample_rewards_into`
+        // and then fill the feedback, so one policy walks the same path.
+        let env = bandit(9, 0.4, 17);
+        let bits = |r: &RunResult| {
+            let (realised, pseudo) = (r.trace.realised(), r.trace.pseudo());
+            let floats = [r.optimal_mean, r.total_reward].into_iter();
+            let floats = floats
+                .chain(realised.iter().copied())
+                .chain(pseudo.iter().copied());
+            (
+                r.policy.clone(),
+                floats.map(f64::to_bits).collect::<Vec<_>>(),
+            )
+        };
+        for scenario in [SingleScenario::SideObservation, SingleScenario::SideReward] {
+            let mut coupled = DflSso::new(env.graph().clone());
+            let mut alone = DflSso::new(env.graph().clone());
+            let coupled = run_single_coupled(&env, &mut [&mut coupled], scenario, 300, 18);
+            let alone = run_single(&env, &mut alone, scenario, 300, 18);
+            assert_eq!(coupled.len(), 1);
+            assert_eq!(bits(&coupled[0]), bits(&alone));
+        }
     }
 
     #[test]
@@ -421,7 +394,9 @@ mod tests {
             12,
         )
         .unwrap();
-        assert!((result.optimal_mean - env.best_strategy_side_mean(&family)).abs() < 1e-12);
+        assert!(
+            (result.optimal_mean - env.best_strategy_side_mean(&family, env.means())).abs() < 1e-12
+        );
         assert!(result.trace.pseudo().iter().all(|&r| r >= -1e-12));
     }
 
@@ -447,21 +422,19 @@ mod tests {
             ..DriftSchedule::default()
         };
         let mut policy = DflSso::new(env.graph().clone());
-        let result = run_single_drifted(
-            &env,
-            &drift,
-            &mut policy,
-            SingleScenario::SideObservation,
-            200,
-            22,
+        let world = World::new(
+            env.clone(),
+            Play::Single(SingleScenario::SideObservation),
+            Some(drift),
         );
+        let result = run_single_in(world, &mut policy, 200, 22);
         assert_eq!(result.trace.len(), 200);
         // The dynamic oracle dominates every played arm round by round.
         assert!(result.trace.pseudo().iter().all(|&r| r >= -1e-12));
         // The reported benchmark is the average per-round optimum, which for a
         // pure rotation equals the stationary optimum (the mean set is only
         // permuted, never changed).
-        assert!((result.optimal_mean - env.best_single_direct_mean()).abs() < 1e-12);
+        assert!((result.optimal_mean - env.best_single_direct_mean(env.means())).abs() < 1e-12);
     }
 
     #[test]
@@ -478,26 +451,10 @@ mod tests {
         let family = StrategyFamily::at_most_m(6, 2);
         let mut p1 = DflCsr::new(env.graph().clone(), family.clone());
         let mut p2 = DflCsr::new(env.graph().clone(), family.clone());
-        let r1 = run_combinatorial_drifted(
-            &env,
-            &family,
-            &drift,
-            &mut p1,
-            CombinatorialScenario::SideReward,
-            150,
-            24,
-        )
-        .unwrap();
-        let r2 = run_combinatorial_drifted(
-            &env,
-            &family,
-            &drift,
-            &mut p2,
-            CombinatorialScenario::SideReward,
-            150,
-            24,
-        )
-        .unwrap();
+        let play = Play::Combinatorial(family.clone(), CombinatorialScenario::SideReward);
+        let world = World::new(env, play, Some(drift));
+        let r1 = run_combinatorial_in(world.clone(), &mut p1, 150, 24).unwrap();
+        let r2 = run_combinatorial_in(world, &mut p2, 150, 24).unwrap();
         assert_eq!(r1, r2);
     }
 

@@ -21,78 +21,52 @@ use netband_spec::{AnyPolicy, BuiltScenario, ScenarioSpec, SideBonus, SpecError}
 
 use crate::replicate::{replicate, AveragedRun, ReplicationConfig};
 use crate::runner::{
-    run_combinatorial, run_combinatorial_drifted, run_single, run_single_drifted,
-    CombinatorialScenario, RunResult, SingleScenario,
+    run_combinatorial_in, run_single_in, CombinatorialScenario, RunResult, SingleScenario,
 };
+use crate::step::{Play, World};
 
-/// The [`SingleScenario`] a side bonus selects for single-play policies.
-pub fn single_scenario(side_bonus: SideBonus) -> SingleScenario {
-    match side_bonus {
-        SideBonus::Observation => SingleScenario::SideObservation,
-        SideBonus::Reward => SingleScenario::SideReward,
-    }
-}
-
-/// The [`CombinatorialScenario`] a side bonus selects for combinatorial
-/// policies.
-pub fn combinatorial_scenario(side_bonus: SideBonus) -> CombinatorialScenario {
-    match side_bonus {
-        SideBonus::Observation => CombinatorialScenario::SideObservation,
-        SideBonus::Reward => CombinatorialScenario::SideReward,
-    }
-}
-
-/// Runs an already-built scenario through the matching runner.
+/// The [`Play`] a built scenario's policy makes: its play kind, the
+/// scenario its side bonus selects, and (for a combinatorial policy) the
+/// family.
 ///
 /// # Errors
 ///
 /// [`SpecError::MissingFamily`] if a combinatorial policy was built without a
 /// family (cannot happen for scenarios built by [`ScenarioSpec::build`],
-/// which validates this), or [`SpecError::Env`] if the environment rejects a
-/// proposed strategy.
-pub fn run_built(built: &mut BuiltScenario) -> Result<RunResult, SpecError> {
-    let side_bonus = built.side_bonus;
-    let horizon = built.horizon;
-    let seed = built.seed;
-    // A declared-but-trivial drift schedule takes the stationary fast path,
-    // so `drift: {}` behaves (and scores) exactly like no drift at all.
-    let drift = built.drift.as_ref().filter(|d| !d.is_trivial());
-    match &mut built.policy {
-        AnyPolicy::Single(policy) => Ok(match drift {
-            Some(drift) => run_single_drifted(
-                &built.bandit,
-                drift,
-                policy,
-                single_scenario(side_bonus),
-                horizon,
-                seed,
-            ),
-            None => run_single(
-                &built.bandit,
-                policy,
-                single_scenario(side_bonus),
-                horizon,
-                seed,
-            ),
-        }),
-        AnyPolicy::Combinatorial(policy) => {
-            let family = built.family.as_ref().ok_or(SpecError::MissingFamily {
+/// which validates this).
+pub fn play(built: &BuiltScenario) -> Result<Play, SpecError> {
+    Ok(match (&built.policy, built.side_bonus) {
+        (AnyPolicy::Single(_), SideBonus::Observation) => {
+            Play::Single(SingleScenario::SideObservation)
+        }
+        (AnyPolicy::Single(_), SideBonus::Reward) => Play::Single(SingleScenario::SideReward),
+        (AnyPolicy::Combinatorial(_), side_bonus) => {
+            let family = built.family.clone().ok_or(SpecError::MissingFamily {
                 policy: "combinatorial",
             })?;
-            let scenario = combinatorial_scenario(side_bonus);
-            match drift {
-                Some(drift) => run_combinatorial_drifted(
-                    &built.bandit,
-                    family,
-                    drift,
-                    policy,
-                    scenario,
-                    horizon,
-                    seed,
-                ),
-                None => run_combinatorial(&built.bandit, family, policy, scenario, horizon, seed),
-            }
-            .map_err(SpecError::Env)
+            let scenario = match side_bonus {
+                SideBonus::Observation => CombinatorialScenario::SideObservation,
+                SideBonus::Reward => CombinatorialScenario::SideReward,
+            };
+            Play::Combinatorial(family, scenario)
+        }
+    })
+}
+
+/// Runs an already-built scenario through the matching runner, in the
+/// [`World`] of its bandit, [`play`] and drift schedule.
+///
+/// # Errors
+///
+/// [`SpecError::MissingFamily`] (see [`play`]), or [`SpecError::Env`] if the
+/// environment rejects a proposed strategy.
+pub fn run_built(built: &mut BuiltScenario) -> Result<RunResult, SpecError> {
+    let world = World::new(built.bandit.clone(), play(built)?, built.drift.clone());
+    let (horizon, seed) = (built.horizon, built.seed);
+    match &mut built.policy {
+        AnyPolicy::Single(policy) => Ok(run_single_in(world, policy, horizon, seed)),
+        AnyPolicy::Combinatorial(policy) => {
+            run_combinatorial_in(world, policy, horizon, seed).map_err(SpecError::Env)
         }
     }
 }
@@ -153,6 +127,7 @@ pub fn replicate_spec(spec: &ScenarioSpec) -> Result<AveragedRun, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_single;
     use netband_core::DflSso;
     use netband_spec::{
         presets, ArmsSpec, FamilySpec, FeedbackSpec, GraphSpec, PolicySpec, WorkloadSpec,

@@ -38,7 +38,7 @@ fn main() -> Result<(), netband::env::EnvError> {
     );
     println!(
         "optimal expected coverage reward per round: {:.3}",
-        bandit.best_strategy_side_mean(&family)
+        bandit.best_strategy_side_mean(&family, bandit.means())
     );
 
     let mut dfl_csr = DflCsr::new(graph.clone(), family.clone());

@@ -36,7 +36,7 @@ fn main() -> Result<(), netband::env::EnvError> {
         workload.name,
         bandit.graph().density(),
         strategies.len(),
-        bandit.best_strategy_direct_mean(&family)
+        bandit.best_strategy_direct_mean(&family, bandit.means())
     );
 
     let mut dfl_cso = DflCso::from_strategies(bandit.graph(), strategies.clone());

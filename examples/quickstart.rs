@@ -25,7 +25,7 @@ fn main() -> Result<(), netband::env::EnvError> {
         "environment: {} arms, graph density {:.2}, best arm mean {:.3}",
         num_arms,
         graph.density(),
-        bandit.best_single_direct_mean()
+        bandit.best_single_direct_mean(bandit.means())
     );
 
     // Two policies on the same sample path: the paper's DFL-SSO and plain MOSS.

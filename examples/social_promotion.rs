@@ -34,7 +34,7 @@ fn main() -> Result<(), netband::env::EnvError> {
     );
     println!(
         "best neighbourhood to target: user {best_neighborhood} (neighbourhood value {:.3}, degree {})",
-        bandit.side_reward_mean(best_neighborhood),
+        bandit.side_reward_mean(best_neighborhood, bandit.means()),
         graph.degree(best_neighborhood)
     );
 

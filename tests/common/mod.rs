@@ -24,9 +24,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use netband::env::DriftSchedule;
 use netband::prelude::*;
-use netband::sim::{step, RegretTrace};
+use netband::sim::{Play, RegretTrace, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -180,63 +179,59 @@ pub const DRIFT_CHANGE_ROUND: u64 = 150;
 
 /// The committed drifting scenario document: a CTS-D policy on the fixture
 /// workload with gradual drift plus one mid-horizon change point. One JSON
-/// document drives the drifted simulation runner, a serving tenant, and the
+/// document drives a drifting simulation run, a serving tenant, and the
 /// restart-across-the-change-point test — all pinned to the same
 /// `golden_drift_cts.json` trace.
 pub fn drift_scenario() -> ScenarioSpec {
-    let path = fixtures_dir().join("drift_scenario.json");
+    load_scenario("drift_scenario.json")
+}
+
+/// Every drifting golden scenario, keyed by its fixture name: the CTS-D
+/// document above plus a DFL-SSR and a DFL-CSR side-reward document (with
+/// churn), so each play kind scores a drifting world against a fixture.
+pub fn drift_scenarios() -> Vec<(&'static str, ScenarioSpec)> {
+    vec![
+        ("drift_cts", drift_scenario()),
+        ("drift_ssr", load_scenario("drift_ssr_scenario.json")),
+        ("drift_csr", load_scenario("drift_csr_scenario.json")),
+    ]
+}
+
+fn load_scenario(file: &str) -> ScenarioSpec {
+    let path = fixtures_dir().join(file);
     let text = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing drift scenario {} ({e})", path.display()));
     let spec = ScenarioSpec::from_json_text(&text)
-        .unwrap_or_else(|e| panic!("drift scenario document no longer parses: {e}"));
-    assert_eq!(spec.horizon, DRIFT_HORIZON, "drift fixture horizon drifted");
+        .unwrap_or_else(|e| panic!("drift scenario document {file} no longer parses: {e}"));
+    assert_eq!(
+        spec.horizon, DRIFT_HORIZON,
+        "{file}: drift fixture horizon drifted"
+    );
     spec
 }
 
 // ----- per-round regret of a served tenant ----------------------------------
 
-/// Play mode and reward model of a recorded tenant.
-enum Play {
-    Single(SingleScenario),
-    Combinatorial(StrategyFamily, CombinatorialScenario),
-}
-
 /// Rebuilds a served tenant's per-round regret from the replies it echoed.
 ///
 /// Each round's `(optimal − reward, optimal − mean)` is a pure function of
 /// the reply's feedback and the round's (possibly drifting) optimum. The
-/// recorder scores the feedback with the same `netband_sim::step` calls the
-/// tenant and the batch runner make, so its trace and totals compare bit for
-/// bit with the committed fixtures. Replies must be recorded in round order.
+/// recorder steps the same `netband_sim::World` the tenant and the batch
+/// runner step, so its trace and totals compare bit for bit with the
+/// committed fixtures. Replies must be recorded in round order.
 pub struct RegretRecorder {
     policy: String,
-    bandit: NetworkedBandit,
-    play: Play,
-    /// Non-trivial drift schedule (trivial ones are dropped, as the tenant
-    /// drops them) and the scratch its drifted means are written into.
-    drift: Option<DriftSchedule>,
-    means: Vec<f64>,
-    optimal: f64,
+    world: World,
     optimal_sum: f64,
     total_reward: f64,
     trace: RegretTrace,
 }
 
 impl RegretRecorder {
-    fn new(policy: &str, bandit: NetworkedBandit, play: Play) -> Self {
-        let optimal = match &play {
-            Play::Single(scenario) => step::single_benchmark(&bandit, *scenario),
-            Play::Combinatorial(family, scenario) => {
-                step::combinatorial_benchmark(&bandit, family, *scenario)
-            }
-        };
+    fn new(policy: &str, world: World) -> Self {
         RegretRecorder {
             policy: policy.to_owned(),
-            means: vec![0.0; bandit.num_arms()],
-            bandit,
-            play,
-            drift: None,
-            optimal,
+            world,
             optimal_sum: 0.0,
             total_reward: 0.0,
             trace: RegretTrace::default(),
@@ -245,7 +240,7 @@ impl RegretRecorder {
 
     /// A recorder for a single-play tenant running `policy`.
     pub fn single(policy: &str, bandit: NetworkedBandit, scenario: SingleScenario) -> Self {
-        Self::new(policy, bandit, Play::Single(scenario))
+        Self::new(policy, World::new(bandit, Play::Single(scenario), None))
     }
 
     /// A recorder for a combinatorial tenant running `policy`.
@@ -255,22 +250,16 @@ impl RegretRecorder {
         family: StrategyFamily,
         scenario: CombinatorialScenario,
     ) -> Self {
-        Self::new(policy, bandit, Play::Combinatorial(family, scenario))
+        let play = Play::Combinatorial(family, scenario);
+        Self::new(policy, World::new(bandit, play, None))
     }
 
     /// A recorder for a tenant registered from `spec`, drift included.
     pub fn from_scenario(spec: &ScenarioSpec) -> Self {
         let built = spec.build().expect("scenario builds");
-        let play = match built.family {
-            Some(family) => Play::Combinatorial(
-                family,
-                netband::sim::spec::combinatorial_scenario(built.side_bonus),
-            ),
-            None => Play::Single(netband::sim::spec::single_scenario(built.side_bonus)),
-        };
-        let mut recorder = Self::new(built.policy.name(), built.bandit, play);
-        recorder.drift = built.drift.filter(|d| !d.is_trivial());
-        recorder
+        let play = netband::sim::spec::play(&built).expect("scenario has a play");
+        let world = World::new(built.bandit, play, built.drift);
+        Self::new(built.policy.name(), world)
     }
 
     /// Records one served round from its reward and echoed feedback.
@@ -280,37 +269,10 @@ impl RegretRecorder {
             self.trace.len() as u64 + 1,
             "replies must be recorded in round order"
         );
-        if let Some(schedule) = &self.drift {
-            schedule.means_at(self.bandit.means(), round, &mut self.means);
-        }
-        let drifting = self.drift.is_some();
-        let (optimal, (scored, mean)) = match (&self.play, event) {
-            (Play::Single(scenario), FeedbackEvent::Single(fb)) if drifting => (
-                step::single_benchmark_with(&self.bandit, &self.means, *scenario),
-                step::score_single_with(&self.bandit, &self.means, *scenario, fb),
-            ),
-            (Play::Single(scenario), FeedbackEvent::Single(fb)) => (
-                self.optimal,
-                step::score_single(&self.bandit, *scenario, fb),
-            ),
-            (Play::Combinatorial(family, scenario), FeedbackEvent::Combinatorial(fb))
-                if drifting =>
-            {
-                (
-                    step::combinatorial_benchmark_with(
-                        &self.bandit,
-                        family,
-                        &self.means,
-                        *scenario,
-                    ),
-                    step::score_combinatorial_with(&self.means, *scenario, fb),
-                )
-            }
-            (Play::Combinatorial(_, scenario), FeedbackEvent::Combinatorial(fb)) => (
-                self.optimal,
-                step::score_combinatorial(&self.bandit, *scenario, fb),
-            ),
-            (_, event) => panic!("feedback {event:?} does not match the tenant's play mode"),
+        let optimal = self.world.benchmark(round);
+        let (scored, mean) = match event {
+            FeedbackEvent::Single(fb) => self.world.score_arm(fb),
+            FeedbackEvent::Combinatorial(fb) => self.world.score_strategy(fb),
         };
         assert_eq!(
             scored.to_bits(),
@@ -351,18 +313,13 @@ impl RegretRecorder {
 
     /// The recorded run in the simulation runners' result format. A drifting
     /// run reports the horizon average of its per-round optima, as the
-    /// drifted runners do.
+    /// runners do.
     pub fn run_result(&self) -> RunResult {
         let horizon = self.trace.len();
-        let optimal_mean = match (&self.drift, horizon) {
-            (None, _) => self.optimal,
-            (Some(_), 0) => 0.0,
-            (Some(_), n) => self.optimal_sum / n as f64,
-        };
         RunResult {
             policy: self.policy.clone(),
             horizon,
-            optimal_mean,
+            optimal_mean: self.world.mean_benchmark(self.optimal_sum, horizon),
             total_reward: self.total_reward,
             trace: self.trace.clone(),
         }

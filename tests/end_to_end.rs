@@ -46,7 +46,7 @@ fn ssr_scenario_end_to_end() {
     let result = run_single(&bandit, &mut policy, SingleScenario::SideReward, 3_000, 4);
     // Regret is measured on the [0, K]-scaled side reward, so compare against the
     // optimal value rather than an absolute constant.
-    assert!(result.average_regret() < 0.3 * bandit.best_single_side_mean());
+    assert!(result.average_regret() < 0.3 * bandit.best_single_side_mean(bandit.means()));
     assert!(trend_down(&result.trace.time_averaged_pseudo()));
 }
 
@@ -68,7 +68,9 @@ fn cso_scenario_end_to_end() {
     )
     .expect("feasible strategies only");
     assert!(trend_down(&result.trace.time_averaged_pseudo()));
-    assert!(result.average_regret() < 0.4 * bandit.best_strategy_direct_mean(&family));
+    assert!(
+        result.average_regret() < 0.4 * bandit.best_strategy_direct_mean(&family, bandit.means())
+    );
 }
 
 #[test]
@@ -86,7 +88,9 @@ fn csr_scenario_end_to_end() {
     )
     .expect("feasible strategies only");
     assert!(trend_down(&result.trace.time_averaged_pseudo()));
-    assert!(result.average_regret() < 0.4 * bandit.best_strategy_side_mean(&family));
+    assert!(
+        result.average_regret() < 0.4 * bandit.best_strategy_side_mean(&family, bandit.means())
+    );
 }
 
 #[test]

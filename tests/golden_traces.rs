@@ -23,8 +23,8 @@
 mod common;
 
 use common::{
-    check_golden, cso_family, csr_family, drift_scenario, fixture_instance, COMB_HORIZON, RUN_SEED,
-    SINGLE_HORIZON,
+    check_golden, cso_family, csr_family, drift_scenarios, fixture_instance, COMB_HORIZON,
+    RUN_SEED, SINGLE_HORIZON,
 };
 use netband::prelude::*;
 
@@ -109,14 +109,31 @@ fn golden_trace_dfl_csr() {
     check_golden("dfl_csr", run_golden_csr());
 }
 
-/// The drifting golden run: the committed `drift_scenario.json` document
-/// (CTS-D, gradual drift + one change point, dynamic-oracle scoring) through
-/// the drifted combinatorial runner. The serving engine is held to the same
-/// fixture by `tests/serve_equivalence.rs`.
+/// The drifting golden runs: the committed scenario documents (gradual
+/// drift, one change point, and churn for the side-reward pair) through
+/// `run_spec`, scored against the dynamic oracle. The serving engine is held
+/// to the same fixtures by `tests/serve_equivalence.rs`.
+fn check_drift_golden(name: &str) {
+    let (_, spec) = drift_scenarios()
+        .into_iter()
+        .find(|(fixture, _)| *fixture == name)
+        .expect("known drift fixture");
+    check_golden(name, run_spec(&spec).expect("drift scenario runs"));
+}
+
 #[test]
 fn golden_trace_drift_cts() {
-    let result = run_spec(&drift_scenario()).expect("drift scenario runs");
-    check_golden("drift_cts", result);
+    check_drift_golden("drift_cts");
+}
+
+#[test]
+fn golden_trace_drift_ssr() {
+    check_drift_golden("drift_ssr");
+}
+
+#[test]
+fn golden_trace_drift_csr() {
+    check_drift_golden("drift_csr");
 }
 
 /// Golden runs are themselves deterministic: running one twice in-process must

@@ -15,7 +15,7 @@
 mod common;
 
 use common::{
-    assert_golden, cso_family, csr_family, drift_scenario, fixture_instance, GoldenTrace,
+    assert_golden, cso_family, csr_family, drift_scenarios, fixture_instance, GoldenTrace,
     RegretRecorder, COMB_HORIZON, DRIFT_CHANGE_ROUND, DRIFT_HORIZON, RUN_SEED, SINGLE_HORIZON,
 };
 use netband::prelude::*;
@@ -280,20 +280,21 @@ proptest! {
     }
 }
 
-/// A tenant registered **from the drifting scenario document** serves the
-/// same trajectory as the drifted simulation runner: the engine recomputes
-/// the per-round drifted means and the dynamic-oracle benchmark bit-exactly.
+/// A tenant registered **from each drifting scenario document** serves the
+/// same trajectory as `run_spec` of the document: the engine recomputes the
+/// per-round drifted means and the dynamic-oracle benchmark bit-exactly.
 #[test]
 fn spec_registered_drifting_tenant_reproduces_the_drift_fixture() {
-    let spec = drift_scenario();
-    let mut recorder = RegretRecorder::from_scenario(&spec);
-    let engine = ServeEngine::with_shards(1);
-    engine
-        .register_tenant_spec(&RegisterTenantSpec::new("drift_cts", spec))
-        .expect("register drifting tenant from spec");
-    serve_closed_loop(&engine, "drift_cts", DRIFT_HORIZON, &mut recorder);
-    evict_and_check(&engine, "drift_cts", DRIFT_HORIZON, &recorder);
-    engine.shutdown();
+    for (name, spec) in drift_scenarios() {
+        let mut recorder = RegretRecorder::from_scenario(&spec);
+        let engine = ServeEngine::with_shards(1);
+        engine
+            .register_tenant_spec(&RegisterTenantSpec::new(name, spec))
+            .expect("register drifting tenant from spec");
+        serve_closed_loop(&engine, name, DRIFT_HORIZON, &mut recorder);
+        evict_and_check(&engine, name, DRIFT_HORIZON, &recorder);
+        engine.shutdown();
+    }
 }
 
 /// Restart survival for nonstationary worlds: snapshot *before* the change
@@ -303,31 +304,27 @@ fn spec_registered_drifting_tenant_reproduces_the_drift_fixture() {
 /// fixture bit for bit.
 #[test]
 fn drifting_tenant_restart_across_the_change_point_stays_bit_exact() {
-    let spec = drift_scenario();
-    let mut recorder = RegretRecorder::from_scenario(&spec);
-    let first = ServeEngine::with_shards(1);
-    first
-        .register_tenant_spec(&RegisterTenantSpec::new("drift_cts", spec))
-        .expect("register drifting tenant from spec");
-    let before_change = (DRIFT_CHANGE_ROUND - 50) as usize;
-    serve_closed_loop(&first, "drift_cts", before_change, &mut recorder);
-    let snapshot = first.snapshot_tenant("drift_cts").expect("snapshot tenant");
-    assert!(
-        snapshot.round() < DRIFT_CHANGE_ROUND,
-        "snapshot must land before the change point"
-    );
-    first.shutdown();
+    for (name, spec) in drift_scenarios() {
+        let mut recorder = RegretRecorder::from_scenario(&spec);
+        let first = ServeEngine::with_shards(1);
+        first
+            .register_tenant_spec(&RegisterTenantSpec::new(name, spec))
+            .expect("register drifting tenant from spec");
+        let before_change = (DRIFT_CHANGE_ROUND - 50) as usize;
+        serve_closed_loop(&first, name, before_change, &mut recorder);
+        let snapshot = first.snapshot_tenant(name).expect("snapshot tenant");
+        assert!(
+            snapshot.round() < DRIFT_CHANGE_ROUND,
+            "snapshot must land before the change point"
+        );
+        first.shutdown();
 
-    let second = ServeEngine::with_shards(1);
-    second.restore_tenant(snapshot).expect("restore tenant");
-    serve_closed_loop(
-        &second,
-        "drift_cts",
-        DRIFT_HORIZON - before_change,
-        &mut recorder,
-    );
-    evict_and_check(&second, "drift_cts", DRIFT_HORIZON, &recorder);
-    second.shutdown();
+        let second = ServeEngine::with_shards(1);
+        second.restore_tenant(snapshot).expect("restore tenant");
+        serve_closed_loop(&second, name, DRIFT_HORIZON - before_change, &mut recorder);
+        evict_and_check(&second, name, DRIFT_HORIZON, &recorder);
+        second.shutdown();
+    }
 }
 
 /// Snapshot half-way, shut the engine down, restore onto a fresh engine, and
