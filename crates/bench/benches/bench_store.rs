@@ -31,8 +31,8 @@ use std::time::Instant;
 use netband_env::SinglePlayFeedback;
 use netband_serve::{EngineConfig, RegisterTenantSpec, ServeEngine, StoreConfig};
 use netband_spec::{
-    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, WalRecord, WireEvent,
-    WorkloadSpec, SPEC_VERSION,
+    ArmsSpec, FeedbackEvent, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus,
+    WalRecord, WorkloadSpec, SPEC_VERSION,
 };
 use netband_store::ShardStore;
 
@@ -86,7 +86,7 @@ fn feedback_record(round: u64) -> WalRecord {
     WalRecord::Feedback {
         tenant: "bench-tenant".into(),
         round,
-        event: WireEvent::Single(SinglePlayFeedback {
+        event: FeedbackEvent::Single(SinglePlayFeedback {
             arm: (round % 10) as usize,
             direct_reward: 1.0,
             side_reward: 0.5,

@@ -5,7 +5,7 @@ use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use netband_spec::wire::{
-    WireErrorCode, WireMetrics, WireReply, WireRequest, WireResponse, WireTelemetry,
+    DecideReply, WireErrorCode, WireMetrics, WireRequest, WireResponse, WireTelemetry,
 };
 use netband_spec::{ScenarioSpec, SpecError, WireFeedback};
 
@@ -135,7 +135,7 @@ impl NetClient {
     }
 
     /// Serves `count` decisions for `tenant` in one frame.
-    pub fn decide_many(&mut self, tenant: &str, count: u32) -> Result<Vec<WireReply>, NetError> {
+    pub fn decide_many(&mut self, tenant: &str, count: u32) -> Result<Vec<DecideReply>, NetError> {
         self.expect(
             &WireRequest::DecideMany {
                 tenant: tenant.to_owned(),

@@ -24,7 +24,7 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netband_obs::Registry;
 use netband_serve::{ServeEngine, DECIDE_STAGES};
@@ -346,7 +346,10 @@ fn obs_accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Serve inline: a scrape is one engine round trip plus one
-                // write, and the accept loop has nothing better to do.
+                // write, and the accept loop has nothing better to do. The
+                // request read is bounded as a whole, so a client that
+                // trickles its headers holds the endpoint for at most
+                // `SCRAPE_READ_DEADLINE`.
                 let _ = serve_scrape(stream, &engine, &stats);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -357,23 +360,36 @@ fn obs_accept_loop(
     }
 }
 
+/// How long a scrape may take to send its request headers, counted from
+/// accept. The scrape is answered when the headers end or the time is up.
+const SCRAPE_READ_DEADLINE: Duration = Duration::from_secs(2);
+
 fn serve_scrape(
     mut stream: std::net::TcpStream,
     engine: &ServeEngine,
     stats: &NetStats,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + SCRAPE_READ_DEADLINE;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // Read until the end of the request headers (or the buffer fills); the
-    // request itself is ignored — every path serves the same document.
+    // Read until the end of the request headers, the buffer fills, or the
+    // deadline passes; the request itself is ignored — every path serves the
+    // same document.
     let mut buf = [0u8; 4096];
     let mut read = 0;
     while read < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf[read..]) {
             Ok(0) => break,
             Ok(n) => {
+                // Only the new bytes, plus the 3 before them, can complete
+                // the blank line.
+                let from = read.saturating_sub(3);
                 read += n;
-                if buf[..read].windows(4).any(|w| w == b"\r\n\r\n") {
+                if buf[from..read].windows(4).any(|w| w == b"\r\n\r\n") {
                     break;
                 }
             }
@@ -451,5 +467,51 @@ mod tests {
             .expect("response has a body");
         parse_exposition(body).expect("scrape body must parse strictly");
         obs.shutdown();
+    }
+
+    /// A client that sends one header byte every 1.5 s (each read inside a
+    /// per-read timeout) holds the endpoint only until the request deadline:
+    /// a second scrape is still answered within about 3 s.
+    #[test]
+    fn a_trickling_client_does_not_block_other_scrapes() {
+        let engine = Arc::new(ServeEngine::start(EngineConfig::new(1)));
+        let stats = Arc::new(NetStats::new());
+        let obs = ObsServer::bind(Arc::clone(&engine), Arc::clone(&stats), "127.0.0.1:0").unwrap();
+        let addr = obs.local_addr();
+        let done = Arc::new(AtomicBool::new(false));
+        let trickler = {
+            let done = Arc::clone(&done);
+            thread::spawn(move || {
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                for &byte in b"GET /metrics HTTP/1.1\r\n\r\n" {
+                    if done.load(Ordering::SeqCst) || stream.write_all(&[byte]).is_err() {
+                        return;
+                    }
+                    thread::sleep(Duration::from_millis(1500));
+                }
+            })
+        };
+        // Let the trickler be accepted first.
+        thread::sleep(Duration::from_millis(200));
+        let start = Instant::now();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        let answered = stream.read_to_string(&mut response);
+        let waited = start.elapsed();
+        done.store(true, Ordering::SeqCst);
+        trickler.join().unwrap();
+        obs.shutdown();
+        answered.expect("the second scrape is answered");
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(
+            waited < Duration::from_secs(3),
+            "the second scrape waited {waited:?} behind a trickling client"
+        );
     }
 }

@@ -1,52 +1,30 @@
-//! Conversions between `netband-serve` engine types and the
+//! Conversions from `netband-serve`'s engine read-outs to the
 //! `netband_spec::wire` documents.
 //!
-//! `netband-spec` cannot depend on `netband-serve` (serve builds tenants
-//! *from* specs), so the wire model mirrors the serve types instead of
-//! naming them, and the orphan rule keeps these conversions free functions
-//! here rather than `From` impls on either side. They are all structural —
-//! no recoding of rewards, so `f64` bit-exactness is preserved end to end.
+//! The documents a decide and a feedback window carry — [`DecideReply`],
+//! [`Decision`](netband_serve::api::Decision) and [`FeedbackEvent`] — are
+//! `netband-spec` types that `netband-serve` re-exports, so the server
+//! encodes and decodes them as they are. What is left here flattens the
+//! engine's own report types (errors, metrics, telemetry), which hold more
+//! than the wire shows. The orphan rule keeps these free functions rather
+//! than `From` impls on either side. They are all structural — no recoding
+//! of rewards, so `f64` bit-exactness is preserved end to end.
 
-use netband_serve::api::{DecideReply, Decision, FeedbackEvent, ServeError};
+use netband_serve::api::{DecideReply, FeedbackEvent, ServeError};
 use netband_serve::{LatencyHistogram, MetricsReport, TenantTelemetry};
-use netband_spec::{
-    WireArmStat, WireDecision, WireErrorCode, WireEvent, WireLatency, WireMetrics, WireReply,
-    WireTelemetry,
-};
+use netband_spec::{WireArmStat, WireErrorCode, WireLatency, WireMetrics, WireTelemetry};
 
-/// Serve decision → wire decision.
-pub fn decision_to_wire(decision: &Decision) -> WireDecision {
-    match decision {
-        Decision::Arm(arm) => WireDecision::Arm(*arm),
-        Decision::Strategy(arms) => WireDecision::Strategy(arms.clone()),
-    }
+/// Returns `event` unchanged: the wire event is the serve event. Kept for
+/// netbench's traced stand-in only.
+pub fn event_from_wire(event: FeedbackEvent) -> FeedbackEvent {
+    event
 }
 
-/// Serve feedback event → wire event (both wrap the same `netband-env`
-/// payload structs, so this is a clone, not a re-encoding).
-pub fn event_to_wire(event: &FeedbackEvent) -> WireEvent {
-    match event {
-        FeedbackEvent::Single(f) => WireEvent::Single(f.clone()),
-        FeedbackEvent::Combinatorial(f) => WireEvent::Combinatorial(f.clone()),
-    }
-}
-
-/// Wire event → serve feedback event.
-pub fn event_from_wire(event: WireEvent) -> FeedbackEvent {
-    match event {
-        WireEvent::Single(f) => FeedbackEvent::Single(f),
-        WireEvent::Combinatorial(f) => FeedbackEvent::Combinatorial(f),
-    }
-}
-
-/// Serve decide reply → wire reply.
-pub fn reply_to_wire(reply: &DecideReply) -> WireReply {
-    WireReply {
-        round: reply.round,
-        decision: decision_to_wire(&reply.decision),
-        reward: reply.reward,
-        feedback: reply.feedback.as_ref().map(event_to_wire),
-    }
+/// Returns a clone of `reply`: the wire reply is the serve reply, and
+/// `NetServer` encodes its replies without copying them. Kept for netbench's
+/// traced stand-in only.
+pub fn reply_to_wire(reply: &DecideReply) -> DecideReply {
+    reply.clone()
 }
 
 /// Serve error → wire error code + human-readable message.
@@ -124,7 +102,6 @@ pub fn telemetry_to_wire(telemetry: &TenantTelemetry) -> WireTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netband_env::SinglePlayFeedback;
 
     #[test]
     fn every_serve_error_maps_to_a_wire_code() {
@@ -161,26 +138,6 @@ mod tests {
             assert_eq!(code, expected, "{error}");
             assert!(!message.is_empty());
         }
-    }
-
-    #[test]
-    fn replies_convert_structurally() {
-        let reply = DecideReply {
-            round: 7,
-            decision: Decision::Strategy(vec![1, 4]),
-            reward: 0.1 + 0.2,
-            feedback: Some(FeedbackEvent::Single(SinglePlayFeedback {
-                arm: 1,
-                direct_reward: 1.0,
-                side_reward: 0.5,
-                observations: vec![(0, 1.0)],
-            })),
-        };
-        let wire = reply_to_wire(&reply);
-        assert_eq!(wire.round, 7);
-        assert_eq!(wire.decision, WireDecision::Strategy(vec![1, 4]));
-        assert_eq!(wire.reward.to_bits(), (0.1f64 + 0.2).to_bits());
-        assert!(matches!(wire.feedback, Some(WireEvent::Single(_))));
     }
 
     #[test]

@@ -43,9 +43,7 @@ use netband_spec::wire::{WireErrorCode, WireRequest, WireResponse};
 
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::obs::NetStats;
-use crate::proto::{
-    error_to_wire, event_from_wire, metrics_to_wire, reply_to_wire, telemetry_to_wire,
-};
+use crate::proto::{error_to_wire, metrics_to_wire, telemetry_to_wire};
 
 /// Server knobs. The defaults are deliberate: frames are capped well below
 /// anything that could exhaust memory, batches well below anything that could
@@ -289,7 +287,7 @@ fn connection_loop(
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
     let mut client = engine.client();
-    let mut scratch: Vec<Result<DecideReply, ServeError>> = Vec::new();
+    let mut slots = ReplySlots::default();
     // The one response buffer of this connection, reused frame after frame.
     let mut out = String::new();
     loop {
@@ -313,7 +311,7 @@ fn connection_loop(
         };
         stats.frames_in.fetch_add(1, Relaxed);
         stats.bytes_in.fetch_add(text.len() as u64, Relaxed);
-        let response = handle_request(engine, &mut client, &mut scratch, config, &text);
+        let response = handle_request(engine, &mut client, &mut slots, config, &text);
         match &response {
             WireResponse::Error {
                 code: WireErrorCode::Protocol,
@@ -331,6 +329,7 @@ fn connection_loop(
         }
         out.clear();
         response.write_json(&mut out);
+        slots.reclaim(response);
         if write_frame(&mut writer, &out).is_err() {
             return;
         }
@@ -348,12 +347,32 @@ impl Drop for DecrementOnDrop<'_> {
     }
 }
 
+/// A connection's warm decide-reply slots. The client fills `scratch` in
+/// place; the served replies then move into the `Decisions` response,
+/// through `served`'s allocation, and back into `scratch` once the response
+/// is encoded, so no reply is copied and no buffer is reallocated.
+#[derive(Default)]
+struct ReplySlots {
+    scratch: Vec<Result<DecideReply, ServeError>>,
+    served: Vec<DecideReply>,
+}
+
+impl ReplySlots {
+    /// Moves a served window's replies back into the scratch buffer.
+    fn reclaim(&mut self, response: WireResponse) {
+        if let WireResponse::Decisions { mut replies, .. } = response {
+            self.scratch.extend(replies.drain(..).map(Ok));
+            self.served = replies;
+        }
+    }
+}
+
 /// Serves one request document. Infallible by construction: every failure
 /// mode becomes an error *response*.
 fn handle_request(
     engine: &ServeEngine,
     client: &mut ServeClient<'_>,
-    scratch: &mut Vec<Result<DecideReply, ServeError>>,
+    slots: &mut ReplySlots,
     config: &ServerConfig,
     text: &str,
 ) -> WireResponse {
@@ -383,20 +402,17 @@ fn handle_request(
                     ),
                 };
             }
+            let scratch = &mut slots.scratch;
             if let Err(e) = client.try_decide_many(&tenant, count as usize, scratch) {
                 let (code, message) = error_to_wire(&e);
                 return WireResponse::Error { code, message };
             }
-            let mut replies = Vec::with_capacity(scratch.len());
-            for entry in scratch.iter() {
-                match entry {
-                    Ok(reply) => replies.push(reply_to_wire(reply)),
-                    Err(e) => {
-                        let (code, message) = error_to_wire(e);
-                        return WireResponse::Error { code, message };
-                    }
-                }
+            if let Some(Err(e)) = scratch.iter().find(|entry| entry.is_err()) {
+                let (code, message) = error_to_wire(e);
+                return WireResponse::Error { code, message };
             }
+            let mut replies = std::mem::take(&mut slots.served);
+            replies.extend(scratch.drain(..).map(|entry| entry.expect("checked Ok")));
             WireResponse::Decisions { tenant, replies }
         }
         WireRequest::FeedbackMany { tenant, events } => {
@@ -410,9 +426,7 @@ fn handle_request(
                     ),
                 };
             }
-            let window = events
-                .into_iter()
-                .map(|f| (f.round, event_from_wire(f.event)));
+            let window = events.into_iter().map(|f| (f.round, f.event));
             match client.try_feedback_many(&tenant, window) {
                 Ok(count) => WireResponse::Accepted {
                     count: count as u64,

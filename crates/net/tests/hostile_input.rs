@@ -13,7 +13,7 @@ use netband_net::{
 };
 use netband_serve::{EngineConfig, ServeEngine, StoreConfig};
 use netband_spec::presets;
-use netband_spec::wire::{WireDecision, WireErrorCode, WireEvent, WireFeedback, WireResponse};
+use netband_spec::wire::{Decision, FeedbackEvent, WireErrorCode, WireFeedback, WireResponse};
 
 /// One 1 MiB frame of `[` used to recurse the connection thread's JSON
 /// parser off its stack and abort the whole server. The nesting cap turns it
@@ -117,12 +117,12 @@ fn out_of_support_feedback_is_refused(engine: ServeEngine) {
     }
     let reply = client.decide_many("attacked", 1).unwrap().remove(0);
     let arm = match reply.decision {
-        WireDecision::Arm(arm) => arm,
+        Decision::Arm(arm) => arm,
         other => panic!("single-play tenant pulled {other:?}"),
     };
     let hostile = WireFeedback {
         round: reply.round,
-        event: WireEvent::Single(SinglePlayFeedback {
+        event: FeedbackEvent::Single(SinglePlayFeedback {
             arm,
             direct_reward: 1.0,
             side_reward: 0.0,

@@ -1,104 +1,55 @@
 //! Public request/response types of the serving engine.
+//!
+//! A served decision ([`DecideReply`], [`Decision`]) and a feedback event
+//! ([`FeedbackEvent`]) are the very documents the wire protocol, the WAL and
+//! tenant snapshots carry, so they are defined once, in `netband-spec`, and
+//! re-exported here.
 
 use std::fmt;
 
-use netband_env::{CombinatorialFeedback, EnvError, SinglePlayFeedback};
+use netband_env::EnvError;
 use netband_spec::{FeedbackSpec, ScenarioSpec, SpecError};
 
-use crate::ArmId;
+pub use netband_spec::{DecideReply, Decision, FeedbackEvent};
 
 /// Identifier of a tenant (an experiment id). Tenants are routed to shards by
 /// a stable hash of this id.
 pub type TenantId = String;
 
-/// The action a tenant chose for one round.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Decision {
-    /// A single-play tenant pulled one arm.
-    Arm(ArmId),
-    /// A combinatorial tenant pulled a super-arm (sorted, deduplicated).
-    Strategy(Vec<ArmId>),
-}
-
-impl Decision {
-    /// Overwrites `self` with a single-arm decision. A warm
-    /// `Decision::Strategy` keeps its vector allocation parked in place only
-    /// when the variant already matches; flipping the variant drops it —
-    /// tenants never flip play modes, so batched reply slots stay warm.
-    pub(crate) fn set_arm(&mut self, arm: ArmId) {
-        match self {
-            Decision::Arm(a) => *a = arm,
-            other => *other = Decision::Arm(arm),
-        }
-    }
-
-    /// Overwrites `self` with a strategy decision, reusing the slot's vector
-    /// when the variant already matches.
-    pub(crate) fn set_strategy(&mut self, arms: &[ArmId]) {
-        match self {
-            Decision::Strategy(s) => {
-                s.clear();
-                s.extend_from_slice(arms);
-            }
-            other => *other = Decision::Strategy(arms.to_vec()),
-        }
-    }
-}
-
-/// One reward observation travelling back into the engine.
+/// Checks every observation of `event` against the paper's [0, 1] reward
+/// support. The serving API refuses an event outside it before anything is
+/// enqueued: folded into an arm's running mean, a value like ±1.7e308 turns
+/// the estimate infinite, which no telemetry or stored document can carry.
 ///
-/// The variant must match the tenant's play mode; a mismatch is rejected with
-/// [`ServeError::FeedbackKindMismatch`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum FeedbackEvent {
-    /// Feedback for a single-play decision.
-    Single(SinglePlayFeedback),
-    /// Feedback for a combinatorial decision.
-    Combinatorial(CombinatorialFeedback),
-}
-
-impl FeedbackEvent {
-    /// Checks every observation against the paper's [0, 1] reward support.
-    /// The serving API refuses an event outside it before anything is
-    /// enqueued: folded into an arm's running mean, a value like ±1.7e308
-    /// turns the estimate infinite, which no telemetry or stored document
-    /// can carry.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::OutOfSupport`] naming the first offending value.
-    pub(crate) fn check_support(&self, tenant: &str, round: u64) -> Result<(), ServeError> {
-        let observations = match self {
-            FeedbackEvent::Single(fb) => &fb.observations,
-            FeedbackEvent::Combinatorial(fb) => &fb.observations,
-        };
-        // One branch-free pass for the common, valid case; the offending
-        // value is looked up only on failure.
-        let valid = observations
-            .iter()
-            .fold(true, |ok, &(_, x)| ok & (0.0..=1.0).contains(&x));
-        if valid {
-            return Ok(());
-        }
-        let &(_, value) = observations
-            .iter()
-            .find(|(_, x)| !(0.0..=1.0).contains(x))
-            .expect("an observation is out of support");
-        Err(ServeError::OutOfSupport {
-            tenant: tenant.to_owned(),
-            round,
-            value,
-        })
+/// # Errors
+///
+/// [`ServeError::OutOfSupport`] naming the first offending value.
+pub(crate) fn check_support(
+    event: &FeedbackEvent,
+    tenant: &str,
+    round: u64,
+) -> Result<(), ServeError> {
+    let observations = match event {
+        FeedbackEvent::Single(fb) => &fb.observations,
+        FeedbackEvent::Combinatorial(fb) => &fb.observations,
+    };
+    // One branch-free pass for the common, valid case; the offending value
+    // is looked up only on failure.
+    let valid = observations
+        .iter()
+        .fold(true, |ok, &(_, x)| ok & (0.0..=1.0).contains(&x));
+    if valid {
+        return Ok(());
     }
-}
-
-/// The default event is an empty single-play observation. It exists so batch
-/// ingestion can `mem::take` events out of reusable request buffers without
-/// allocating; a default-built event is never a valid observation on its own.
-impl Default for FeedbackEvent {
-    fn default() -> Self {
-        FeedbackEvent::Single(SinglePlayFeedback::default())
-    }
+    let &(_, value) = observations
+        .iter()
+        .find(|(_, x)| !(0.0..=1.0).contains(x))
+        .expect("an observation is out of support");
+    Err(ServeError::OutOfSupport {
+        tenant: tenant.to_owned(),
+        round,
+        value,
+    })
 }
 
 /// When a tenant folds its queued feedback into the policy estimators.
@@ -221,37 +172,14 @@ impl Default for FlushPolicy {
     }
 }
 
-/// The engine's answer to a `Decide` request.
-///
-/// Replies are plain data; the batched client API recycles them as warm
-/// slots, so a steady-state [`ServeClient`](crate::ServeClient) batch is
-/// filled entirely in place (see [`ServeClient::decide_many`](crate::ServeClient::decide_many)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecideReply {
-    /// The tenant-local round this decision belongs to (1-based). Feedback
-    /// for the decision must quote this round.
-    pub round: u64,
-    /// The chosen arm or super-arm.
-    pub decision: Decision,
-    /// The realised reward the environment charged for the decision, under
-    /// the tenant's scenario reward model.
-    pub reward: f64,
-    /// The feedback event revealed by the pull, for the caller to route back
-    /// via feedback ingestion (possibly delayed and out of order). `None`
-    /// when the tenant was configured without feedback echo.
-    pub feedback: Option<FeedbackEvent>,
-}
-
-impl DecideReply {
-    /// A blank reply used as the seed for in-place filling (every field is
-    /// overwritten by `Tenant::decide_into` before the reply is handed out).
-    pub(crate) fn blank() -> Self {
-        DecideReply {
-            round: 0,
-            decision: Decision::Arm(0),
-            reward: 0.0,
-            feedback: None,
-        }
+/// A blank reply used as the seed for in-place filling (every field is
+/// overwritten by `Tenant::decide_into` before the reply is handed out).
+pub(crate) fn blank_reply() -> DecideReply {
+    DecideReply {
+        round: 0,
+        decision: Decision::Arm(0),
+        reward: 0.0,
+        feedback: None,
     }
 }
 

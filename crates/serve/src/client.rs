@@ -71,7 +71,7 @@
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
-use crate::api::{DecideReply, FeedbackEvent, ServeError};
+use crate::api::{check_support, DecideReply, FeedbackEvent, ServeError};
 use crate::engine::ServeEngine;
 use crate::shard::{Command, DecideBatch, DecideRequest, FeedbackWindow};
 
@@ -397,7 +397,7 @@ impl<'e> ServeClient<'e> {
         let mut window = self.feedback_pool.pop().unwrap_or_default();
         let mut used = 0usize;
         for (round, event) in events {
-            if let Err(e) = event.check_support(tenant, round) {
+            if let Err(e) = check_support(&event, tenant, round) {
                 self.feedback_pool.push(window);
                 return Err(e);
             }

@@ -35,30 +35,12 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 
-use netband_spec::{
-    ScenarioSpec, StoredTenantMetrics, StoredTenantSnapshot, WalRecord, WireEvent, STORE_VERSION,
-};
+use netband_spec::{ScenarioSpec, StoredTenantSnapshot, WalRecord, STORE_VERSION};
 use netband_store::ShardStore;
 
 use crate::api::{FeedbackEvent, FlushPolicy, ServeError, TenantId};
-use crate::metrics::{TenantMetrics, TenantTelemetry};
+use crate::metrics::TenantTelemetry;
 use crate::tenant::{Tenant, TenantKind, TenantSpec};
-
-/// Converts a client-facing feedback event into its wire/stored form.
-pub(crate) fn event_to_wire(event: &FeedbackEvent) -> WireEvent {
-    match event {
-        FeedbackEvent::Single(fb) => WireEvent::Single(fb.clone()),
-        FeedbackEvent::Combinatorial(fb) => WireEvent::Combinatorial(fb.clone()),
-    }
-}
-
-/// Converts a stored feedback event back into its client-facing form.
-pub(crate) fn wire_to_event(event: WireEvent) -> FeedbackEvent {
-    match event {
-        WireEvent::Single(fb) => FeedbackEvent::Single(fb),
-        WireEvent::Combinatorial(fb) => FeedbackEvent::Combinatorial(fb),
-    }
-}
 
 /// Captures a live tenant's complete durable state, without flushing its
 /// pending feedback (see the module docs).
@@ -79,7 +61,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
             policy.save_state(),
             pending
                 .iter()
-                .map(|(round, fb)| (round, WireEvent::Single(fb.clone())))
+                .map(|(round, fb)| (round, FeedbackEvent::Single(fb.clone())))
                 .collect::<Vec<_>>(),
         ),
         TenantKind::Combinatorial {
@@ -88,7 +70,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
             policy.save_state(),
             pending
                 .iter()
-                .map(|(round, fb)| (round, WireEvent::Combinatorial(fb.clone())))
+                .map(|(round, fb)| (round, FeedbackEvent::Combinatorial(fb.clone())))
                 .collect(),
         ),
     };
@@ -107,13 +89,7 @@ pub(crate) fn capture_tenant(t: &Tenant) -> Result<StoredTenantSnapshot, ServeEr
         rng: t.rng.to_state(),
         policy,
         pending,
-        metrics: StoredTenantMetrics {
-            decides: t.metrics.decides,
-            feedback_events: t.metrics.feedback_events,
-            batches_flushed: t.metrics.batches_flushed,
-            events_applied: t.metrics.events_applied,
-            max_batch: t.metrics.max_batch,
-        },
+        metrics: t.metrics.clone(),
     })
 }
 
@@ -194,8 +170,8 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
                 .map_err(|e| ServeError::Store(format!("tenant {id:?}: {e}")))?;
             for (round, event) in pending {
                 match event {
-                    WireEvent::Single(fb) => queue.push(round, fb),
-                    WireEvent::Combinatorial(_) => {
+                    FeedbackEvent::Single(fb) => queue.push(round, fb),
+                    FeedbackEvent::Combinatorial(_) => {
                         return Err(ServeError::FeedbackKindMismatch(id));
                     }
                 }
@@ -211,8 +187,8 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
                 .map_err(|e| ServeError::Store(format!("tenant {id:?}: {e}")))?;
             for (round, event) in pending {
                 match event {
-                    WireEvent::Combinatorial(fb) => queue.push(round, fb),
-                    WireEvent::Single(_) => {
+                    FeedbackEvent::Combinatorial(fb) => queue.push(round, fb),
+                    FeedbackEvent::Single(_) => {
                         return Err(ServeError::FeedbackKindMismatch(id));
                     }
                 }
@@ -223,13 +199,7 @@ pub(crate) fn restore_tenant(stored: StoredTenantSnapshot) -> Result<Tenant, Ser
     tenant.round = round;
     tenant.optimal_sum = optimal_sum;
     tenant.total_reward = total_reward;
-    tenant.metrics = TenantMetrics {
-        decides: metrics.decides,
-        feedback_events: metrics.feedback_events,
-        batches_flushed: metrics.batches_flushed,
-        events_applied: metrics.events_applied,
-        max_batch: metrics.max_batch,
-    };
+    tenant.metrics = metrics;
     Ok(tenant)
 }
 

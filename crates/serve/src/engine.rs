@@ -10,7 +10,7 @@ use netband_obs::{TraceKind, TraceRing};
 use netband_spec::FleetSpec;
 use netband_store::{StoreConfig, StoreMetrics};
 
-use crate::api::{DecideReply, FeedbackEvent, RegisterTenantSpec, ServeError};
+use crate::api::{check_support, DecideReply, FeedbackEvent, RegisterTenantSpec, ServeError};
 use crate::metrics::{MetricsReport, TenantTelemetry, TraceReport};
 use crate::shard::{Command, DecideRequest, FeedbackWindow, Shard};
 use crate::snapshot::TenantSnapshot;
@@ -441,7 +441,7 @@ impl ServeEngine {
         round: u64,
         event: FeedbackEvent,
     ) -> Result<(), ServeError> {
-        event.check_support(tenant, round)?;
+        check_support(&event, tenant, round)?;
         let window = Command::Feedback {
             window: FeedbackWindow {
                 tenant: tenant.to_owned(),

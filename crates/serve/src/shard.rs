@@ -44,7 +44,7 @@ use netband_obs::{DecideStage, StageClock, TraceEvent, TraceKind, TraceRing};
 use netband_spec::{StoredTenantSnapshot, WalRecord};
 use netband_store::{ShardStore, StoreConfig, StoreMetrics};
 
-use crate::api::{DecideReply, FeedbackEvent, ServeError, TenantId};
+use crate::api::{blank_reply, DecideReply, FeedbackEvent, ServeError, TenantId};
 use crate::durable::{self, capture_tenant, restore_tenant, ShardDurability};
 use crate::metrics::{ShardMetrics, TenantMetrics, TenantTelemetry, STAGE_SAMPLE_EVERY};
 use crate::snapshot::TenantSnapshot;
@@ -200,7 +200,7 @@ impl Shard {
             .map(|stored| WalRecord::Restore {
                 snapshot: Box::new(stored),
             });
-        let mut scratch = DecideReply::blank();
+        let mut scratch = blank_reply();
         for record in snapshot.chain(recovery.records) {
             this.replay(record, &mut scratch).map_err(|e| match e {
                 ServeError::Store(_) => e,
@@ -249,7 +249,7 @@ impl Shard {
                 tenant,
                 round,
                 event,
-            } => self.feedback(&tenant, round, durable::wire_to_event(event)),
+            } => self.feedback(&tenant, round, event),
             WalRecord::Flush { tenant } => self.flush(&tenant),
             WalRecord::Removed { tenant } => self.remove(&tenant).map(drop),
             WalRecord::Drain => self.drain_all(),
@@ -314,10 +314,7 @@ impl Shard {
                     // Move the event out, leaving a (heap-free) default
                     // behind so the buffer can be recycled.
                     let event = std::mem::take(event);
-                    let logged = self
-                        .durable
-                        .as_ref()
-                        .map(|_| durable::event_to_wire(&event));
+                    let logged = self.durable.as_ref().map(|_| event.clone());
                     match self.feedback(tenant, *round, event) {
                         Ok(()) => self.log(|| WalRecord::Feedback {
                             tenant: tenant.clone(),
@@ -735,11 +732,11 @@ fn decide_into_slot(
     stages: Option<(&mut StageClock, &mut netband_obs::StageTimings)>,
 ) {
     if slot == replies.len() {
-        replies.push(Ok(DecideReply::blank()));
+        replies.push(Ok(blank_reply()));
     }
     let entry = &mut replies[slot];
     if entry.is_err() {
-        *entry = Ok(DecideReply::blank());
+        *entry = Ok(blank_reply());
     }
     let Ok(reply) = entry else {
         unreachable!("slot was just reset to Ok");

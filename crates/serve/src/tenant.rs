@@ -20,7 +20,7 @@ use netband_spec::AnyPolicy;
 
 use netband_obs::{DecideStage, StageClock, StageTimings};
 
-use crate::api::{DecideReply, FeedbackEvent, FlushPolicy, ServeError, TenantId};
+use crate::api::{DecideReply, Decision, FeedbackEvent, FlushPolicy, ServeError, TenantId};
 use crate::metrics::{TenantMetrics, TenantTelemetry};
 use crate::snapshot::TenantSnapshot;
 
@@ -210,6 +210,29 @@ fn lap(stages: &mut Option<(&mut StageClock, &mut StageTimings)>, stage: DecideS
     }
 }
 
+/// Overwrites `decision` with a single-arm decision. A warm
+/// `Decision::Strategy` keeps its vector allocation parked in place only when
+/// the variant already matches; flipping the variant drops it — tenants never
+/// flip play modes, so batched reply slots stay warm.
+fn set_arm(decision: &mut Decision, arm: crate::ArmId) {
+    match decision {
+        Decision::Arm(a) => *a = arm,
+        other => *other = Decision::Arm(arm),
+    }
+}
+
+/// Overwrites `decision` with a strategy decision, reusing the slot's vector
+/// when the variant already matches.
+fn set_strategy(decision: &mut Decision, arms: &[crate::ArmId]) {
+    match decision {
+        Decision::Strategy(s) => {
+            s.clear();
+            s.extend_from_slice(arms);
+        }
+        other => *other = Decision::Strategy(arms.to_vec()),
+    }
+}
+
 /// Writes a single-play feedback echo into a reply slot, reusing the warm
 /// event (and its observation buffer) when the slot already holds one.
 fn set_single_event(slot: &mut Option<FeedbackEvent>, src: &netband_env::SinglePlayFeedback) {
@@ -323,7 +346,7 @@ impl Tenant {
                     policy.update(t, feedback);
                 }
                 lap(&mut stages, DecideStage::Score);
-                reply.decision.set_arm(arm);
+                set_arm(&mut reply.decision, arm);
                 reply.reward = reward;
                 if self.echo_feedback {
                     set_single_event(&mut reply.feedback, feedback);
@@ -358,7 +381,7 @@ impl Tenant {
                     policy.update(t, feedback);
                 }
                 lap(&mut stages, DecideStage::Score);
-                reply.decision.set_strategy(&feedback.strategy);
+                set_strategy(&mut reply.decision, &feedback.strategy);
                 reply.reward = reward;
                 if self.echo_feedback {
                     set_combinatorial_event(&mut reply.feedback, feedback);
@@ -377,7 +400,7 @@ impl Tenant {
     /// form of [`Tenant::decide_into`], for tests.
     #[cfg(test)]
     pub(crate) fn decide(&mut self) -> Result<DecideReply, ServeError> {
-        let mut reply = DecideReply::blank();
+        let mut reply = crate::api::blank_reply();
         self.decide_into(&mut reply, None)?;
         Ok(reply)
     }

@@ -87,12 +87,10 @@ pub use model::{
     ScenarioSpec, SideBonus, WorkloadSpec, SPEC_VERSION,
 };
 pub use policy::AnyPolicy;
-pub use store::{
-    ShardSnapshot, StoredTenantMetrics, StoredTenantSnapshot, WalRecord, STORE_VERSION,
-};
+pub use store::{ShardSnapshot, StoredTenantSnapshot, TenantMetrics, WalRecord, STORE_VERSION};
 pub use wire::{
-    WireArmStat, WireDecision, WireErrorCode, WireEvent, WireFeedback, WireLatency, WireMetrics,
-    WireReply, WireRequest, WireResponse, WireTelemetry,
+    DecideReply, Decision, FeedbackEvent, WireArmStat, WireErrorCode, WireFeedback, WireLatency,
+    WireMetrics, WireRequest, WireResponse, WireTelemetry,
 };
 
 /// Identifier of an arm; re-exported from `netband-graph`.

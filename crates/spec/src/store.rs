@@ -39,7 +39,7 @@ use netband_core::PolicyState;
 use crate::codec::{object, tagged, text_entry_points, version_gate};
 use crate::error::SpecError;
 use crate::model::ScenarioSpec;
-use crate::wire::WireEvent;
+use crate::wire::FeedbackEvent;
 
 /// Version stamp of the durable-state document format. Bump when a field
 /// changes meaning; decoding any other version is a hard error
@@ -50,12 +50,12 @@ pub const STORE_VERSION: u64 = 2;
 // model types
 // ---------------------------------------------------------------------------
 
-/// A tenant's serving counters, persisted so a recovered engine reports the
-/// same metrics it would have reported without the crash. Mirrors
-/// `netband-serve`'s `TenantMetrics` (which this crate cannot name without a
-/// dependency cycle).
+/// Counters of one tenant's serving activity. The serving engine keeps and
+/// reports them (`netband-serve` re-exports this type), and a stored
+/// snapshot persists them, so a recovered engine reports the same metrics it
+/// would have reported without the crash.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoredTenantMetrics {
+pub struct TenantMetrics {
     /// Decisions served.
     pub decides: u64,
     /// Feedback events accepted into the pending queue.
@@ -66,6 +66,24 @@ pub struct StoredTenantMetrics {
     pub events_applied: u64,
     /// Largest batch applied by a single flush.
     pub max_batch: u64,
+}
+
+impl TenantMetrics {
+    /// Mean flushed-batch size (0 when nothing has been flushed).
+    pub fn mean_batch(&self) -> f64 {
+        if self.batches_flushed == 0 {
+            0.0
+        } else {
+            self.events_applied as f64 / self.batches_flushed as f64
+        }
+    }
+
+    /// Records one flush of `batch` events.
+    pub fn record_flush(&mut self, batch: u64) {
+        self.batches_flushed += 1;
+        self.events_applied += batch;
+        self.max_batch = self.max_batch.max(batch);
+    }
 }
 
 /// One tenant's complete durable state: everything needed to resume the
@@ -101,9 +119,9 @@ pub struct StoredTenantSnapshot {
     /// Feedback events queued but not yet flushed, in **arrival order** (the
     /// order that, re-queued on restore, reproduces the eventual flush's
     /// stable sort exactly).
-    pub pending: Vec<(u64, WireEvent)>,
+    pub pending: Vec<(u64, FeedbackEvent)>,
     /// Serving counters.
-    pub metrics: StoredTenantMetrics,
+    pub metrics: TenantMetrics,
 }
 
 /// A compacted checkpoint of one shard: every resident (and evicted) tenant
@@ -170,7 +188,7 @@ pub enum WalRecord {
         /// The round the event answers.
         round: u64,
         /// The event body.
-        event: WireEvent,
+        event: FeedbackEvent,
     },
     /// A tenant's pending feedback was explicitly flushed into its policy.
     /// (Threshold-triggered flushes are implied by the `Feedback` records
@@ -202,7 +220,7 @@ object!(PolicyState as "PolicyState" {
     "rng" => rng: Option<[u64; 4]> [omit],
 });
 
-object!(StoredTenantMetrics as "StoredTenantMetrics" {
+object!(TenantMetrics as "StoredTenantMetrics" {
     "decides" => decides: u64,
     "feedback_events" => feedback_events: u64,
     "batches_flushed" => batches_flushed: u64,
@@ -210,9 +228,9 @@ object!(StoredTenantMetrics as "StoredTenantMetrics" {
     "max_batch" => max_batch: u64,
 });
 
-object!(((u64, WireEvent)) as "stored pending entry" [(round, event)] {
+object!(((u64, FeedbackEvent)) as "stored pending entry" [(round, event)] {
     "round" => round: u64,
-    "event" => event: WireEvent,
+    "event" => event: FeedbackEvent,
 });
 
 object!(StoredTenantSnapshot as "StoredTenantSnapshot" {
@@ -228,8 +246,8 @@ object!(StoredTenantSnapshot as "StoredTenantSnapshot" {
     "echo_feedback" => echo_feedback: bool,
     "rng" => rng: [u64; 4],
     "policy" => policy: PolicyState,
-    "pending" => pending: Vec<(u64, WireEvent)>,
-    "metrics" => metrics: StoredTenantMetrics,
+    "pending" => pending: Vec<(u64, FeedbackEvent)>,
+    "metrics" => metrics: TenantMetrics,
 } then served_rounds_only);
 
 /// The cross-field invariant every well-formed snapshot satisfies, checked
@@ -272,7 +290,7 @@ tagged!(WalRecord as "WalRecord" {
     "feedback" => Feedback {
         "tenant" => tenant: String,
         "round" => round: u64,
-        "event" => event: WireEvent
+        "event" => event: FeedbackEvent
     },
     "flush" => Flush { "tenant" => tenant: String },
     "removed" => Removed { "tenant" => tenant: String },
@@ -318,8 +336,8 @@ mod tests {
         }
     }
 
-    fn sample_event(arm: usize, reward: f64) -> WireEvent {
-        WireEvent::Single(SinglePlayFeedback {
+    fn sample_event(arm: usize, reward: f64) -> FeedbackEvent {
+        FeedbackEvent::Single(SinglePlayFeedback {
             arm,
             direct_reward: reward,
             side_reward: reward + 0.5,
@@ -347,7 +365,7 @@ mod tests {
             rng: [9, 8, 7, 6],
             policy,
             pending: vec![(3, sample_event(1, 1.0)), (1, sample_event(0, 0.0))],
-            metrics: StoredTenantMetrics {
+            metrics: TenantMetrics {
                 decides: 4,
                 feedback_events: 2,
                 batches_flushed: 1,
@@ -598,7 +616,7 @@ mod tests {
                 rng: rng_words,
                 policy,
                 pending: Vec::new(),
-                metrics: StoredTenantMetrics::default(),
+                metrics: TenantMetrics::default(),
             };
             let text = snapshot.to_json_text();
             let back = StoredTenantSnapshot::from_json_text(&text).unwrap();

@@ -15,6 +15,11 @@
 //!   `std` only: requests and responses decode straight from the frame text
 //!   and encode straight into the caller's buffer ([`WireResponse::write_json`]).
 //!
+//! The decide and feedback bodies — [`DecideReply`], [`Decision`] and
+//! [`FeedbackEvent`] — are the serving engine's own types: `netband-serve`
+//! re-exports them, so the server encodes what the engine serves and hands
+//! the engine what it decodes, with no conversion in between.
+//!
 //! One request document maps to exactly one response document. Framing
 //! (length prefixes, size limits, connection lifecycle) is transport business
 //! and lives in `netband-net`; this module is just the payload model:
@@ -89,18 +94,31 @@ pub struct WireFeedback {
     /// The tenant-local round (1-based) of the decision this answers.
     pub round: u64,
     /// The revealed observations.
-    pub event: WireEvent,
+    pub event: FeedbackEvent,
 }
 
-/// A feedback event body — mirrors `netband-serve`'s `FeedbackEvent` (which
-/// this crate cannot name without a dependency cycle) over the shared
-/// `netband-env` payload structs.
+/// One reward observation: what a pull revealed, over the shared
+/// `netband-env` payload structs. The serving engine echoes it in a
+/// [`DecideReply`] and ingests it back as feedback; the WAL and tenant
+/// snapshots store it as is. `netband-serve` re-exports this type.
+///
+/// The variant must match the tenant's play mode; the engine rejects a
+/// mismatch.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireEvent {
+pub enum FeedbackEvent {
     /// Feedback for a single-play decision.
     Single(SinglePlayFeedback),
     /// Feedback for a combinatorial decision.
     Combinatorial(CombinatorialFeedback),
+}
+
+/// The default event is an empty single-play observation. It exists so batch
+/// ingestion can `mem::take` events out of reusable request buffers without
+/// allocating; a default-built event is never a valid observation on its own.
+impl Default for FeedbackEvent {
+    fn default() -> Self {
+        FeedbackEvent::Single(SinglePlayFeedback::default())
+    }
 }
 
 /// A server → client document.
@@ -111,7 +129,7 @@ pub enum WireResponse {
         /// Tenant id, echoed.
         tenant: String,
         /// One entry per served decision, in round order.
-        replies: Vec<WireReply>,
+        replies: Vec<DecideReply>,
     },
     /// Reply to [`WireRequest::RegisterTenant`].
     Ok,
@@ -135,23 +153,29 @@ pub enum WireResponse {
     },
 }
 
-/// One served decision — mirrors `netband-serve`'s `DecideReply`.
+/// One served decision: the serving engine's answer to a decide, and one
+/// entry of a [`WireResponse::Decisions`] frame. `netband-serve` re-exports
+/// this type; its batched client recycles replies as warm slots.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WireReply {
-    /// The tenant-local round (1-based) of this decision.
+pub struct DecideReply {
+    /// The tenant-local round (1-based) of this decision. Feedback for the
+    /// decision must quote this round.
     pub round: u64,
     /// The chosen arm or super-arm.
-    pub decision: WireDecision,
-    /// The realised reward, bit-exact across the wire.
+    pub decision: Decision,
+    /// The realised reward the environment charged for the decision, under
+    /// the tenant's scenario reward model; bit-exact across the wire.
     pub reward: f64,
-    /// The revealed feedback to route back later; `None` when the tenant is
-    /// configured without feedback echo.
-    pub feedback: Option<WireEvent>,
+    /// The feedback event revealed by the pull, for the caller to route back
+    /// via feedback ingestion (possibly delayed and out of order). `None`
+    /// when the tenant is configured without feedback echo.
+    pub feedback: Option<FeedbackEvent>,
 }
 
-/// The chosen arm or super-arm — mirrors `netband-serve`'s `Decision`.
+/// The action a tenant chose for one round. `netband-serve` re-exports this
+/// type.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireDecision {
+pub enum Decision {
     /// A single-play tenant pulled one arm.
     Arm(ArmId),
     /// A combinatorial tenant pulled a super-arm (sorted, deduplicated).
@@ -301,14 +325,14 @@ object!(CombinatorialFeedback as "wire feedback event" {
     "observations" => observations: Vec<(usize, f64)>,
 });
 
-tagged!(WireEvent as "wire feedback event" {
+tagged!(FeedbackEvent as "wire feedback event" {
     "single" => Single(SinglePlayFeedback),
     "combinatorial" => Combinatorial(CombinatorialFeedback),
 });
 
 object!(WireFeedback as "wire feedback entry" {
     "round" => round: u64,
-    "event" => event: WireEvent,
+    "event" => event: FeedbackEvent,
 });
 
 tagged!(WireRequest as "wire request" {
@@ -325,18 +349,18 @@ tagged!(WireRequest as "wire request" {
     "telemetry" => Telemetry { "tenant" => tenant: String },
 });
 
-tagged!(WireDecision as "wire decision" {
+tagged!(Decision as "wire decision" {
     "arm" => Arm("arm": usize),
     "strategy" => Strategy("arms": Vec<usize>),
 });
 
 // `feedback: None` encodes as `null`; decoding also accepts the key's
 // omission.
-object!(WireReply as "wire decide reply" {
+object!(DecideReply as "wire decide reply" {
     "round" => round: u64,
-    "decision" => decision: WireDecision,
+    "decision" => decision: Decision,
     "reward" => reward: f64,
-    "feedback" => feedback: Option<WireEvent>,
+    "feedback" => feedback: Option<FeedbackEvent>,
 });
 
 object!(WireLatency as "wire latency" {
@@ -379,7 +403,7 @@ object!(WireTelemetry as "wire response" {
 tagged!(WireResponse as "wire response" {
     "decisions" => Decisions {
         "tenant" => tenant: String,
-        "replies" => replies: Vec<WireReply>
+        "replies" => replies: Vec<DecideReply>
     },
     "ok" => Ok {},
     "accepted" => Accepted { "count" => count: u64 },
@@ -430,8 +454,8 @@ mod tests {
         }
     }
 
-    fn single_event() -> WireEvent {
-        WireEvent::Single(SinglePlayFeedback {
+    fn single_event() -> FeedbackEvent {
+        FeedbackEvent::Single(SinglePlayFeedback {
             arm: 3,
             direct_reward: 1.0,
             side_reward: 0.25 + 0.5,
@@ -439,8 +463,8 @@ mod tests {
         })
     }
 
-    fn combinatorial_event() -> WireEvent {
-        WireEvent::Combinatorial(CombinatorialFeedback {
+    fn combinatorial_event() -> FeedbackEvent {
+        FeedbackEvent::Combinatorial(CombinatorialFeedback {
             strategy: vec![0, 2],
             observation_set: vec![0, 1, 2, 5],
             direct_reward: 2.0,
@@ -494,15 +518,15 @@ mod tests {
             WireResponse::Decisions {
                 tenant: "exp-0".into(),
                 replies: vec![
-                    WireReply {
+                    DecideReply {
                         round: 1,
-                        decision: WireDecision::Arm(4),
+                        decision: Decision::Arm(4),
                         reward: 0.1 + 0.2, // not representable exactly; must survive bit-for-bit
                         feedback: Some(single_event()),
                     },
-                    WireReply {
+                    DecideReply {
                         round: 2,
-                        decision: WireDecision::Strategy(vec![0, 3]),
+                        decision: Decision::Strategy(vec![0, 3]),
                         reward: 2.0,
                         feedback: None,
                     },
@@ -573,9 +597,9 @@ mod tests {
         let reward = 0.30000000000000004; // 0.1 + 0.2
         let response = WireResponse::Decisions {
             tenant: "t".into(),
-            replies: vec![WireReply {
+            replies: vec![DecideReply {
                 round: 1,
-                decision: WireDecision::Arm(0),
+                decision: Decision::Arm(0),
                 reward,
                 feedback: None,
             }],

@@ -9,8 +9,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netband_spec::{
-    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, StoredTenantMetrics,
-    StoredTenantSnapshot, WalRecord, WorkloadSpec, SPEC_VERSION, STORE_VERSION,
+    ArmsSpec, FeedbackSpec, GraphSpec, PolicySpec, ScenarioSpec, SideBonus, StoredTenantSnapshot,
+    TenantMetrics, WalRecord, WorkloadSpec, SPEC_VERSION, STORE_VERSION,
 };
 use netband_store::{ShardStore, StoreConfig, StoreError};
 
@@ -82,7 +82,7 @@ fn tenant_snapshot(id: &str, round: u64) -> StoredTenantSnapshot {
         rng: [round, 2, 3, 4],
         policy: Default::default(),
         pending: Vec::new(),
-        metrics: StoredTenantMetrics::default(),
+        metrics: TenantMetrics::default(),
     }
 }
 

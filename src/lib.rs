@@ -102,7 +102,7 @@ pub mod prelude {
     pub use netband_spec::{
         AnyPolicy, ArmsSpec, ChangePointSpec, ChurnWindowSpec, DriftSpec, EstimatorSpec,
         FamilySpec, FeedbackSpec, FleetSpec, FleetTenant, GradualDriftSpec, GraphSpec, PolicySpec,
-        ScenarioSpec, SideBonus, SpecError, WireDecision, WireErrorCode, WireEvent, WireFeedback,
-        WireLatency, WireMetrics, WireReply, WireRequest, WireResponse, WorkloadSpec, SPEC_VERSION,
+        ScenarioSpec, SideBonus, SpecError, WireErrorCode, WireFeedback, WireLatency, WireMetrics,
+        WireRequest, WireResponse, WorkloadSpec, SPEC_VERSION,
     };
 }

@@ -76,8 +76,8 @@ const FLOATS: [f64; 12] = [
     4_503_599_627_370_496.0,
 ];
 
-fn single_event() -> WireEvent {
-    WireEvent::Single(SinglePlayFeedback {
+fn single_event() -> FeedbackEvent {
+    FeedbackEvent::Single(SinglePlayFeedback {
         arm: 3,
         direct_reward: 1.0,
         side_reward: 0.25 + 0.5,
@@ -85,8 +85,8 @@ fn single_event() -> WireEvent {
     })
 }
 
-fn combinatorial_event() -> WireEvent {
-    WireEvent::Combinatorial(CombinatorialFeedback {
+fn combinatorial_event() -> FeedbackEvent {
+    FeedbackEvent::Combinatorial(CombinatorialFeedback {
         strategy: vec![0, 2],
         observation_set: vec![0, 1, 2, 5],
         direct_reward: 2.0,
@@ -145,21 +145,21 @@ fn responses() -> Vec<(&'static str, WireResponse)> {
             WireResponse::Decisions {
                 tenant: "exp-0".into(),
                 replies: vec![
-                    WireReply {
+                    DecideReply {
                         round: 1,
-                        decision: WireDecision::Arm(4),
+                        decision: Decision::Arm(4),
                         reward: 0.1 + 0.2,
                         feedback: Some(single_event()),
                     },
-                    WireReply {
+                    DecideReply {
                         round: 2,
-                        decision: WireDecision::Strategy(vec![0, 3]),
+                        decision: Decision::Strategy(vec![0, 3]),
                         reward: 2.0,
                         feedback: Some(combinatorial_event()),
                     },
-                    WireReply {
+                    DecideReply {
                         round: 3,
-                        decision: WireDecision::Strategy(vec![]),
+                        decision: Decision::Strategy(vec![]),
                         reward: -0.0,
                         feedback: None,
                     },

@@ -19,7 +19,6 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_golden, golden_specs, test_shards, RegretRecorder};
-use netband::net::proto::{decision_to_wire, event_from_wire, event_to_wire};
 use netband::prelude::*;
 
 /// An engine fronted by a loopback server, plus one connected client. The
@@ -34,8 +33,8 @@ fn loopback(engine: ServeEngine, config: ServerConfig) -> (NetServer, NetClient)
     (server, client)
 }
 
-fn placeholder_event() -> WireEvent {
-    WireEvent::Single(SinglePlayFeedback {
+fn placeholder_event() -> FeedbackEvent {
+    FeedbackEvent::Single(SinglePlayFeedback {
         arm: 0,
         direct_reward: 0.0,
         side_reward: 0.0,
@@ -75,8 +74,7 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
 
             assert_eq!(reply.round, expected.round, "{fixture} round {round}");
             assert_eq!(
-                reply.decision,
-                decision_to_wire(&expected.decision),
+                reply.decision, expected.decision,
                 "{fixture} round {round}: decision diverged over the wire"
             );
             assert_eq!(
@@ -90,17 +88,16 @@ fn tcp_round_trip_reproduces_all_four_golden_traces() {
                 .as_ref()
                 .expect("reference echoes feedback");
             assert_eq!(
-                event,
-                event_to_wire(expected_event),
+                &event, expected_event,
                 "{fixture} round {round}: echoed feedback diverged"
             );
-            served.record(reply.round, reply.reward, &event_from_wire(event.clone()));
+            served.record(reply.round, reply.reward, &event);
             expected_run.record_reply(&expected);
 
             // Close the loop on both sides with the *wire* event, so the
             // feedback path is exercised end to end too.
             reference
-                .feedback(fixture, expected.round, event_from_wire(event.clone()))
+                .feedback(fixture, expected.round, event.clone())
                 .expect("reference feedback");
             let accepted = client
                 .feedback_many(
@@ -180,12 +177,12 @@ fn chunked_wire_batches_match_the_in_process_batched_client() {
         for (reply, expected) in replies.into_iter().zip(&out) {
             let expected = expected.as_ref().expect("reference decision");
             assert_eq!(reply.round, expected.round);
-            assert_eq!(reply.decision, decision_to_wire(&expected.decision));
+            assert_eq!(reply.decision, expected.decision);
             assert_eq!(reply.reward.to_bits(), expected.reward.to_bits());
             let event = reply.feedback.expect("echoed feedback");
-            wire_run.record(reply.round, reply.reward, &event_from_wire(event.clone()));
+            wire_run.record(reply.round, reply.reward, &event);
             ref_run.record_reply(expected);
-            ref_window.push((reply.round, event_from_wire(event.clone())));
+            ref_window.push((reply.round, event.clone()));
             wire_window.push(WireFeedback {
                 round: reply.round,
                 event,
@@ -344,57 +341,4 @@ fn overloaded_shards_answer_with_a_retryable_error_frame() {
         assert_eq!(accepted, 1);
     }
     server.shutdown();
-}
-
-// ----- wire documents carry env payloads losslessly ------------------------
-
-/// Feedback events survive the wire document round trip bit for bit in both
-/// directions (serve → wire → JSON → wire → serve).
-#[test]
-fn feedback_events_round_trip_bit_exactly_through_the_wire_documents() {
-    let events = vec![
-        FeedbackEvent::Single(SinglePlayFeedback {
-            arm: 3,
-            direct_reward: 0.1 + 0.2, // not representable exactly — the acid test
-            side_reward: f64::MIN_POSITIVE,
-            observations: vec![(0, 1.0e-300), (7, 0.30000000000000004)],
-        }),
-        FeedbackEvent::Combinatorial(CombinatorialFeedback {
-            strategy: vec![1, 4, 9],
-            observation_set: vec![1, 2, 4, 8, 9],
-            direct_reward: 1.0 / 3.0,
-            side_reward: -0.0,
-            observations: vec![(2, 2.0f64.sqrt())],
-        }),
-    ];
-    for event in events {
-        let wire = event_to_wire(&event);
-        let text = WireRequest::FeedbackMany {
-            tenant: "t".into(),
-            events: vec![WireFeedback {
-                round: 0,
-                event: wire.clone(),
-            }],
-        }
-        .to_json_text();
-        let back = match WireRequest::from_json_text(&text).expect("reparse") {
-            WireRequest::FeedbackMany { mut events, .. } => events.pop().unwrap().event,
-            other => panic!("wrong request kind: {other:?}"),
-        };
-        assert_eq!(back, wire, "JSON round trip changed the event");
-        // And back into a serve event without loss.
-        match (event_from_wire(back), event) {
-            (FeedbackEvent::Single(a), FeedbackEvent::Single(b)) => {
-                assert_eq!(a.direct_reward.to_bits(), b.direct_reward.to_bits());
-                assert_eq!(a.side_reward.to_bits(), b.side_reward.to_bits());
-                assert_eq!(a.observations, b.observations);
-            }
-            (FeedbackEvent::Combinatorial(a), FeedbackEvent::Combinatorial(b)) => {
-                assert_eq!(a.direct_reward.to_bits(), b.direct_reward.to_bits());
-                assert_eq!(a.side_reward.to_bits(), b.side_reward.to_bits());
-                assert_eq!(a.observations, b.observations);
-            }
-            (a, b) => panic!("event kind flipped: {a:?} vs {b:?}"),
-        }
-    }
 }
