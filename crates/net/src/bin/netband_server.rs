@@ -122,6 +122,9 @@ fn run(args: Args) -> Result<(), String> {
     if args.sync_every == Some(0) {
         return Err(format!("--sync-every must be at least 1\n{USAGE}"));
     }
+    if args.resident_cap == Some(0) {
+        return Err(format!("--resident-cap must be at least 1\n{USAGE}"));
+    }
     let mut config = EngineConfig::new(args.shards).with_queue_capacity(args.queue_capacity);
     let durable = args.data_dir.is_some();
     if let Some(dir) = &args.data_dir {

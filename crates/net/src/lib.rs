@@ -25,7 +25,8 @@
 //! a saturated queue.
 //!
 //! Binaries: `netband_server` (serve a fleet over TCP) and `netband_loadgen`
-//! (multi-connection throughput/latency benchmark emitting `BENCH_net.json`).
+//! (a front-door canary: one fixed cell of decides over two connections that
+//! fails on a protocol error or a throughput below 5k decides/s).
 //! The golden-trace equivalence suite (`tests/net_equivalence.rs` at the
 //! workspace root) pins a TCP client's decisions and regret to the committed
 //! DFL traces **f64-bit-exactly**.
